@@ -55,7 +55,8 @@ Outcome run_noise(double range_noise) {
 
   sensrep::sim::Simulator simulator;
   sensrep::metrics::TransmissionCounters counters;
-  sensrep::net::Medium medium(simulator, sensrep::sim::Rng(3), {}, counters, range);
+  sensrep::net::Medium medium(simulator, sensrep::sim::Rng(3), {}, counters,
+                              Rect::sized(600, 600), range);
 
   struct Node {
     Vec2 believed;

@@ -14,7 +14,6 @@
 
 #include "core/simulation.hpp"
 #include "geometry/rect.hpp"
-#include "geometry/spatial_hash.hpp"
 #include "metrics/counters.hpp"
 #include "net/medium.hpp"
 #include "obs/flight_recorder.hpp"
@@ -26,7 +25,6 @@
 namespace {
 
 using sensrep::geometry::Rect;
-using sensrep::geometry::SpatialHash;
 using sensrep::geometry::Vec2;
 using sensrep::spatial::UniformGrid2D;
 
@@ -59,22 +57,6 @@ void BM_PeriodicTimers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * timers * 100);
 }
 BENCHMARK(BM_PeriodicTimers)->Arg(100)->Arg(800);
-
-void BM_SpatialHashQuery(benchmark::State& state) {
-  sensrep::sim::Rng rng(1);
-  SpatialHash hash(63.0);
-  for (std::uint32_t i = 0; i < 800; ++i) {
-    hash.upsert(i, {rng.uniform(0, 800), rng.uniform(0, 800)});
-  }
-  std::size_t total = 0;
-  for (auto _ : state) {
-    const Vec2 q{rng.uniform(0, 800), rng.uniform(0, 800)};
-    total += hash.query_ball(q, 63.0).size();
-  }
-  benchmark::DoNotOptimize(total);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpatialHashQuery);
 
 // --- spatial index vs brute force (E16) --------------------------------------
 //
@@ -235,29 +217,21 @@ void BM_SensorNearestGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorNearestGrid)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// --- end-to-end ticks/sec: data-oriented vs legacy hot path (E19) ------------
+// --- end-to-end events/sec (E19) ---------------------------------------------
 //
-// Whole simulations at scale, measuring executed events per wall second —
-// the number every figure bench's runtime divides by. Args are
-// (sensors, data_oriented); CI runs the 100000-sensor pair and feeds
-// items_per_second into tools/check_ticks_regression.sh, which fails the job
-// on a >15% regression of the pooled/SoA path against the committed
-// baseline. Construction (deployment, discovery floods) is excluded via
-// manual timing: the hot loop is what PR 8 restructured.
-//
-// Horizons shrink as the field grows so the 1M-sensor point stays tractable
-// on a laptop; ticks/sec is a rate, so the horizon only sets how much signal
-// is averaged.
+// Whole simulations at scale, measuring executed events per wall second of
+// Simulation::run(); construction (deployment, discovery floods) is excluded
+// via manual timing. Horizons shrink as the field grows so the 1M-sensor
+// point stays tractable on a laptop. perfbench/ is the phase-split
+// benchmark with work counters; this is the quick kernel-level view.
 
 void BM_EndToEndTicks(benchmark::State& state) {
   const auto sensors = static_cast<std::size_t>(state.range(0));
-  const bool data_oriented = state.range(1) != 0;
   sensrep::core::SimulationConfig cfg;
   cfg.algorithm = sensrep::core::Algorithm::kFixedDistributed;  // no manager hub
   cfg.robots = sensors / 50;  // paper density: 50 sensors per robot
   cfg.seed = 2026;
   cfg.sim_duration = sensors >= 1000000 ? 20.0 : sensors >= 100000 ? 100.0 : 400.0;
-  cfg.field.data_oriented = data_oriented;
   std::uint64_t events = 0;
   for (auto _ : state) {
     sensrep::core::Simulation sim(cfg);
@@ -268,67 +242,25 @@ void BM_EndToEndTicks(benchmark::State& state) {
     events += sim.simulator().executed();
   }
   benchmark::DoNotOptimize(events);
-  // items_per_second == executed events / timed wall seconds == ticks/sec.
+  // items_per_second == executed events / timed wall seconds.
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EndToEndTicks)
-    ->ArgsProduct({{10000, 100000, 1000000}, {0, 1}})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-// --- sharded ticks/sec scaling (E21) -----------------------------------------
-//
-// The same end-to-end run as BM_EndToEndTicks, executed through the spatially
-// sharded schedule at 1, 2 and 4 tiles (args: sensors, shards). shards=1 is
-// the sequential baseline; the bitwise equivalence oracle in
-// tests/shard_test.cpp guarantees every row computes the identical
-// simulation, so the /1 vs /2 vs /4 spread is pure scheduling overhead or
-// speedup. The beacon tick sweeps dominate the event mix at these scales,
-// and those are exactly what the tile workers parallelize; everything else
-// (deliveries, repairs) stays serial at the barriers, so this is an Amdahl
-// curve, not a linear one. Run on a multi-core box — a 1-core container
-// serializes the pool and reports the barrier overhead alone.
-
-void BM_ShardedTicks(benchmark::State& state) {
-  const auto sensors = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  sensrep::core::SimulationConfig cfg;
-  cfg.algorithm = sensrep::core::Algorithm::kFixedDistributed;  // no manager hub
-  cfg.robots = sensors / 50;  // paper density: 50 sensors per robot
-  cfg.seed = 2026;
-  cfg.sim_duration = sensors >= 1000000 ? 20.0 : sensors >= 100000 ? 100.0 : 400.0;
-  cfg.field.shards = shards;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    sensrep::core::Simulation sim(cfg);
-    const auto start = std::chrono::steady_clock::now();
-    sim.run();
-    const auto stop = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
-    events += sim.simulator().executed();
-  }
-  benchmark::DoNotOptimize(events);
-  // items_per_second == executed-equivalent events / wall second; identical
-  // event counts across shard counts (the oracle pins them), so rates are
-  // directly comparable.
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedTicks)
-    ->ArgsProduct({{100000, 1000000}, {1, 2, 4}})
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 // --- metrics-plane overhead ablation (E20) -----------------------------------
 //
-// The same end-to-end run as BM_EndToEndTicks (pooled hot path), with the
-// observability plane in its three states: 0 = registry disabled (the
-// default), 1 = registry enabled, 2 = registry + flight recorder. Every
-// instrumentation site is compiled in unconditionally — disabled mode pays
-// exactly one relaxed load per site — so the /0 vs /1 vs /2 spread IS the
-// runtime cost of the plane. tools/check_metrics_overhead.sh feeds the
-// repetition medians through a <3% guard. Deliberately a separate benchmark:
-// check_ticks_regression.sh greps BM_EndToEndTicks and must keep seeing the
-// registry-off numbers it has always seen.
+// The same end-to-end run as BM_EndToEndTicks, with the observability plane
+// in its three states: 0 = registry disabled (the default), 1 = registry
+// enabled, 2 = registry + flight recorder. Every instrumentation site is
+// compiled in unconditionally — disabled mode pays exactly one relaxed load
+// per site — so the /0 vs /1 vs /2 spread IS the runtime cost of the plane.
+// tools/check_metrics_overhead.sh feeds the repetition medians through a <3%
+// guard.
 
 void BM_MetricsOverhead(benchmark::State& state) {
   const auto sensors = static_cast<std::size_t>(state.range(0));
@@ -338,7 +270,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
   cfg.robots = sensors / 50;
   cfg.seed = 2026;
   cfg.sim_duration = sensors >= 1000000 ? 20.0 : sensors >= 100000 ? 100.0 : 400.0;
-  cfg.field.data_oriented = true;
   sensrep::obs::Metrics::reset();
   sensrep::obs::Metrics::enable(mode >= 1);
   if (mode >= 2) {
@@ -370,7 +301,8 @@ BENCHMARK(BM_MetricsOverhead)
 void BM_MediumBroadcast(benchmark::State& state) {
   sensrep::sim::Simulator sim;
   sensrep::metrics::TransmissionCounters counters;
-  sensrep::net::Medium medium(sim, sensrep::sim::Rng(2), {}, counters, 63.0);
+  sensrep::net::Medium medium(sim, sensrep::sim::Rng(2), {}, counters, Rect::sized(400, 400),
+                              63.0);
   sensrep::sim::Rng rng(3);
   int delivered = 0;
   for (sensrep::net::NodeId i = 0; i < 400; ++i) {

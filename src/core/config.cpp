@@ -49,24 +49,6 @@ void SimulationConfig::validate() const {
   if (field.failure_rereport_period < 0.0) {
     throw std::invalid_argument("config: failure_rereport_period >= 0");
   }
-  if (field.shards == 0) throw std::invalid_argument("config: shards must be >= 1");
-  if (field.shards > 256) {
-    throw std::invalid_argument("config: shards must be <= 256");
-  }
-  if (field.shards > 1 && !field.data_oriented) {
-    throw std::invalid_argument(
-        "config: shards > 1 requires the data-oriented hot path "
-        "(tile workers read the flat last-beacon mirror)");
-  }
-  if (field.shards > 1 && field.stale_beacon_count < 2) {
-    // The sharded schedule advances in one-beacon-period windows; with a
-    // staleness window of a single period a stamp refreshed inside the
-    // window could flip a liveness verdict taken at the window edge. Two
-    // periods of slack restore the frozen-verdict guarantee
-    // (docs/SHARDING.md §3).
-    throw std::invalid_argument(
-        "config: shards > 1 requires stale_beacon_count >= 2");
-  }
   field.lifetime.validate();
   robot_faults.validate();
   for (const auto& crash : robot_faults.crashes) {

@@ -6,7 +6,6 @@
 
 #include "geometry/voronoi.hpp"
 #include "obs/flight_recorder.hpp"
-#include "shard/robot_ledger.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "trace/log.hpp"
@@ -112,14 +111,8 @@ void CoordinationAlgorithm::broadcast_location_update(robot::RobotNode& robot, b
 }
 
 geometry::Vec2 CoordinationAlgorithm::idle_home(const robot::RobotNode& robot) const {
-  std::vector<geometry::Vec2> sites;
-  if (config().field.data_oriented) {
-    sites = robot_pos_;  // the flat mirror IS the site list
-  } else {
-    sites.reserve(ctx_.robots->size());
-    for (const auto& r : *ctx_.robots) sites.push_back(r->position());
-  }
-  const geometry::VoronoiDiagram voronoi(sites, config().field_area());
+  // The flat mirror IS the site list.
+  const geometry::VoronoiDiagram voronoi(robot_pos_, config().field_area());
   const auto& cell = voronoi.cell(robot_index(robot.id()));
   return cell.empty() ? robot.position() : cell.centroid();
 }
@@ -180,9 +173,6 @@ void CoordinationAlgorithm::on_robot_moved(robot::RobotNode& robot) {
   if (robot_grid_) {
     robot_grid_->move(static_cast<std::uint32_t>(index), robot.position());
   }
-  // Sharded runs: robot movement executes at tick barriers only, so the
-  // tile hand-off (and its conservation invariant) is maintained here.
-  if (robot_ledger_) robot_ledger_->on_robot_moved(index, robot.position());
 }
 
 void CoordinationAlgorithm::ensure_robot_grid() {
@@ -235,67 +225,36 @@ double CoordinationAlgorithm::effective_lease_window(std::size_t index) const {
 
 robot::RobotNode* CoordinationAlgorithm::closest_live_robot(geometry::Vec2 pos) {
   const obs::ScopedTimer probe(obs::Probe::kClosestLiveRobot);
-  if (config().field.spatial_index) {
-    ensure_robot_grid();
-    // nearest_euclid compares fl(sqrt(d2)) with ties to the lowest index —
-    // exactly the brute loop's comparator (ascending scan, strict <, sqrt
-    // distances), so the two paths agree even at ULP-coincident distances.
-    const auto best = robot_grid_->nearest_euclid(pos, [this](std::uint32_t i) {
-      return !(ft_active_ && presumed_dead_[i]);
-    });
-    return best ? &robot_at(*best) : nullptr;
-  }
-  const bool soa = config().field.data_oriented;
-  robot::RobotNode* best = nullptr;
-  double best_d = 0.0;
-  for (std::size_t i = 0; i < robot_count(); ++i) {
-    if (ft_active_ && presumed_dead_[i]) continue;
-    const geometry::Vec2 rp = soa ? robot_pos_[i] : robot_at(i).position();
-    const double d = geometry::distance(rp, pos);
-    if (!best || d < best_d) {
-      best = &robot_at(i);
-      best_d = d;
-    }
-  }
-  return best;
+  ensure_robot_grid();
+  // nearest_euclid compares fl(sqrt(d2)) with ties to the lowest index —
+  // an ascending scan with strict < over geometry::distance(), even at
+  // ULP-coincident distances.
+  const auto best = robot_grid_->nearest_euclid(pos, [this](std::uint32_t i) {
+    return !(ft_active_ && presumed_dead_[i]);
+  });
+  return best ? &robot_at(*best) : nullptr;
 }
 
 std::optional<std::size_t> CoordinationAlgorithm::nearest_robot_index(
     geometry::Vec2 pos) {
-  if (config().field.spatial_index) {
-    ensure_robot_grid();
-    const auto best = robot_grid_->nearest(pos);  // d2 key, ties to lowest index
-    if (!best) return std::nullopt;
-    return static_cast<std::size_t>(*best);
-  }
-  const bool soa = config().field.data_oriented;
-  std::optional<std::size_t> best;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < robot_count(); ++i) {
-    const geometry::Vec2 rp = soa ? robot_pos_[i] : robot_at(i).position();
-    const double d2 = geometry::distance2(rp, pos);
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = i;
-    }
-  }
-  return best;
+  ensure_robot_grid();
+  const auto best = robot_grid_->nearest(pos);  // d2 key, ties to lowest index
+  if (!best) return std::nullopt;
+  return static_cast<std::size_t>(*best);
 }
 
 void CoordinationAlgorithm::supervise() {
   const auto now = ctx_.simulator->now();
   const auto& faults = config().robot_faults;
-  if (config().field.spatial_index) {
-    // Batched sweep: the smallest window any live robot could be held to
-    // (auto-tune clamps to >= 2 heartbeats; fixed windows are uniform).
-    // Every live lease is >= lease_floor_, so while the floor itself is
-    // within that window no lease can have expired — skip the scan.
-    const double min_window =
-        faults.lease_auto_tune
-            ? std::min(2.0 * faults.heartbeat_period, faults.lease_window())
-            : faults.lease_window();
-    if (now - lease_floor_ <= min_window) return;
-  }
+  // Batched sweep: the smallest window any live robot could be held to
+  // (auto-tune clamps to >= 2 heartbeats; fixed windows are uniform).
+  // Every live lease is >= lease_floor_, so while the floor itself is
+  // within that window no lease can have expired — skip the scan.
+  const double min_window =
+      faults.lease_auto_tune
+          ? std::min(2.0 * faults.heartbeat_period, faults.lease_window())
+          : faults.lease_window();
+  if (now - lease_floor_ <= min_window) return;
   sim::SimTime floor = sim::kNever;
   for (std::size_t i = 0; i < robot_count(); ++i) {
     if (presumed_dead_[i]) continue;

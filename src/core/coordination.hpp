@@ -18,10 +18,6 @@
 #include "wsn/sensor_field.hpp"
 #include "wsn/sensor_policy.hpp"
 
-namespace sensrep::shard {
-class RobotLedger;
-}
-
 namespace sensrep::core {
 
 /// Everything a coordination algorithm needs to reach at runtime. All
@@ -85,11 +81,6 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// Opens/closes report/dispatch spans on `tracer` (nullptr detaches). The
   /// tracer must outlive the algorithm.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Streams robot position updates into the sharded driver's tile-ownership
-  /// ledger (nullptr detaches). The ledger must outlive the algorithm; only
-  /// installed when FieldConfig::shards > 1.
-  void set_robot_ledger(shard::RobotLedger* ledger) noexcept { robot_ledger_ = ledger; }
 
   /// RobotPolicy: anticipatory repositioning (config().idle_reposition,
   /// extension E12) — an idle robot returns to its region's centroid.
@@ -209,8 +200,8 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
 
   /// Fleet index of the robot nearest `pos` under the squared-distance
   /// comparator (ties to the lowest index), ignoring liveness — the dynamic
-  /// init sweep's assignment rule. Grid-backed when spatial_index is on;
-  /// nullopt only for an empty fleet.
+  /// init sweep's assignment rule. Grid-backed; nullopt only for an empty
+  /// fleet.
   [[nodiscard]] std::optional<std::size_t> nearest_robot_index(geometry::Vec2 pos);
 
   /// Periodic lease sweep: expires silent robots and fires
@@ -237,11 +228,10 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   double init_motion_ = 0.0;
   trace::EventLog* event_log_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  shard::RobotLedger* robot_ledger_ = nullptr;
   FaultStats fault_stats_;
 
  private:
-  /// Builds the fleet index on first use (spatial_index mode): one bucket
+  /// Builds the fleet index on first use: one bucket
   /// per robot's average responsibility area over the field rectangle,
   /// seeded with the fleet's current positions and kept consistent by
   /// on_robot_moved. Lazy so runs that never ask a proximity question
@@ -256,13 +246,12 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// Lower bound on min(lease_) over live robots (+inf when all presumed
   /// dead); leases only rise between sweeps, so while even the stalest
   /// possible lease is inside the smallest possible window supervise() can
-  /// expire nobody and skips its scan (spatial_index batched sweep).
+  /// expire nobody and skips its scan (batched sweep).
   sim::SimTime lease_floor_ = 0.0;
   std::optional<spatial::UniformGrid2D<std::uint32_t>> robot_grid_;  // fleet index -> pos
   /// Flat struct-of-arrays mirror of fleet positions (index == fleet index),
-  /// synced by on_robot_moved. data_oriented reads (Voronoi idle-home site
-  /// lists, brute nearest scans) walk this vector instead of dereferencing
-  /// per-robot objects; writes are unconditional so both paths stay exact.
+  /// synced by on_robot_moved: the Voronoi idle-home site list, read without
+  /// dereferencing per-robot objects.
   std::vector<geometry::Vec2> robot_pos_;
   /// Exact report copies already processed, keyed (originator, seq). Reports
   /// are rare (one per sensor failure plus retries), so the set stays small.

@@ -150,25 +150,16 @@ void FixedDistributedAlgorithm::on_robot_presumed_dead(std::size_t index) {
     sensor.learn_robot(am.id(), am.position(), seq);
     sensor.set_myrobot(am.id());
   };
-  if (config().field.spatial_index) {
-    // Cells partition the sensors, so merging the adopted cells' (ascending)
-    // member lists and sorting restores the exact ascending-id visit order
-    // of the brute field scan below.
-    std::vector<NodeId> members;
-    for (const std::size_t cell : adopted) {
-      const auto& m = members_of(cell);
-      members.insert(members.end(), m.begin(), m.end());
-    }
-    std::sort(members.begin(), members.end());
-    for (const NodeId s : members) teach(field.node(s));
-    return;
+  // Cells partition the sensors, so merging the adopted cells' (ascending)
+  // member lists and sorting visits the orphaned sensors in ascending id
+  // order.
+  std::vector<NodeId> members;
+  for (const std::size_t cell : adopted) {
+    const auto& m = members_of(cell);
+    members.insert(members.end(), m.begin(), m.end());
   }
-  for (std::size_t s = 0; s < field.size(); ++s) {
-    auto& sensor = field.node(static_cast<NodeId>(s));
-    const std::size_t cell = subarea_of(sensor.position());
-    if (std::find(adopted.begin(), adopted.end(), cell) == adopted.end()) continue;
-    teach(sensor);
-  }
+  std::sort(members.begin(), members.end());
+  for (const NodeId s : members) teach(field.node(s));
 }
 
 const std::vector<NodeId>& FixedDistributedAlgorithm::members_of(std::size_t cell) {
@@ -247,15 +238,7 @@ void FixedDistributedAlgorithm::apply_return(robot::RobotNode& robot, const Pack
     sensor.learn_robot(robot.id(), robot.position(), seq);
     sensor.set_myrobot(robot.id());
   };
-  if (config().field.spatial_index) {
-    for (const NodeId s : members_of(cell)) teach(field.node(s));
-  } else {
-    for (std::size_t s = 0; s < field.size(); ++s) {
-      auto& sensor = field.node(static_cast<NodeId>(s));
-      if (subarea_of(sensor.position()) != cell) continue;
-      teach(sensor);
-    }
-  }
+  for (const NodeId s : members_of(cell)) teach(field.node(s));
   // Confirmation ack back to the adopter (real traffic; informational only —
   // the shared owner map is already consistent).
   Packet ack;

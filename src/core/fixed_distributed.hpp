@@ -68,9 +68,9 @@ class FixedDistributedAlgorithm final : public CoordinationAlgorithm {
   void apply_return(robot::RobotNode& robot, const net::Packet& pkt);
 
   /// Sensor ids of subarea `cell`, ascending. Built lazily in one ascending
-  /// field pass (sensors are static, so membership never changes); the
-  /// spatial_index fast path for the adoption/return flood loops, which
-  /// otherwise classify every sensor on every ownership change.
+  /// field pass (sensors are static, so membership never changes), so the
+  /// adoption/return flood loops do not classify every sensor on every
+  /// ownership change.
   [[nodiscard]] const std::vector<net::NodeId>& members_of(std::size_t cell);
 
   std::unique_ptr<geometry::Partition> partition_;

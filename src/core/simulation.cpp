@@ -11,10 +11,6 @@ namespace sensrep::core {
 
 Simulation::Simulation(const SimulationConfig& config) : config_(config) {
   config_.validate();
-  // Must happen before the first schedule (nothing below schedules until the
-  // components construct): the legacy hot path keeps the map-backed event
-  // queue so old-vs-new equivalence runs compare whole simulations.
-  sim_.use_legacy_queue(!config_.field.data_oriented);
   sim::Rng master(config_.seed);
 
   // Robot fault tolerance: unless overridden, sensors age robot knowledge
@@ -30,7 +26,8 @@ Simulation::Simulation(const SimulationConfig& config) : config_(config) {
   }
 
   medium_ = std::make_unique<net::Medium>(sim_, master.fork("medium"), config_.radio,
-                                          counters_, config_.field.sensor_tx_range);
+                                          counters_, config_.field_area(),
+                                          config_.field.sensor_tx_range);
   algo_ = make_algorithm(config_);
   field_ = std::make_unique<wsn::SensorField>(sim_, *medium_, *algo_, log_, config_.field,
                                               master.fork("field"));
@@ -52,17 +49,6 @@ Simulation::Simulation(const SimulationConfig& config) : config_(config) {
   for (std::size_t i = 0; i < config_.robots; ++i) {
     robots_.push_back(std::make_unique<robot::RobotNode>(
         config_.robot_id(i), robot_positions[i], rc, sim_, *medium_, *field_, *algo_));
-  }
-
-  // Spatial sharding: the driver must exist before field_->start() arms the
-  // beacon clocks (they route through it) and before any robot moves (the
-  // tile-ownership ledger tracks hand-offs from the deployment positions on).
-  if (config_.field.shards > 1) {
-    driver_ = std::make_unique<shard::ShardedDriver>(
-        sim_, *medium_, *field_, config_.field_area(), config_.field.shards);
-    driver_->ledger().reset(robot_positions);
-    field_->set_tick_driver(driver_.get());
-    algo_->set_robot_ledger(&driver_->ledger());
   }
 
   SystemContext ctx;
@@ -152,13 +138,7 @@ void Simulation::attach_tracer(obs::Tracer& tracer) {
   for (auto& r : robots_) r->set_tracer(&tracer);
 }
 
-void Simulation::run_until(sim::SimTime t) {
-  if (driver_) {
-    driver_->run_until(t);
-  } else {
-    sim_.run_until(t);
-  }
-}
+void Simulation::run_until(sim::SimTime t) { sim_.run_until(t); }
 
 bool Simulation::inject_sensor_failure(net::NodeId slot) {
   if (!field_->is_sensor(slot)) {
@@ -197,10 +177,7 @@ StateDigest Simulation::digest() const {
   StateDigest d;
   d.clock = sim_.now();
   d.events_executed = sim_.executed();
-  // Armed tick series live in tile tickers under sharding; the sequential
-  // schedule keeps one pending queue event per series, so add them back for
-  // a shard-count-invariant digest.
-  d.pending_events = sim_.pending() + (driver_ ? driver_->armed_count() : 0);
+  d.pending_events = sim_.pending();
   d.failures = log_.size();
   d.repaired = log_.repaired_count();
   const auto& faults = algo_->fault_stats();

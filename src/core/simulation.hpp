@@ -12,7 +12,6 @@
 #include "metrics/failure_log.hpp"
 #include "net/medium.hpp"
 #include "robot/robot.hpp"
-#include "shard/driver.hpp"
 #include "sim/simulator.hpp"
 #include "wsn/sensor_field.hpp"
 
@@ -179,11 +178,6 @@ class Simulation {
     return counters_;
   }
 
-  /// The sharded tick driver, or nullptr on the stock single-shard schedule
-  /// (FieldConfig::shards == 1). Tests reach through this for window stats
-  /// and the robot tile-ownership ledger.
-  [[nodiscard]] shard::ShardedDriver* shard_driver() noexcept { return driver_.get(); }
-
  private:
   /// Fault injection: kills robot `index` (no-op if already dead) and, with
   /// a finite MTTR, draws and schedules its repair.
@@ -201,7 +195,6 @@ class Simulation {
   std::unique_ptr<net::Medium> medium_;
   std::unique_ptr<CoordinationAlgorithm> algo_;
   std::unique_ptr<wsn::SensorField> field_;
-  std::unique_ptr<shard::ShardedDriver> driver_;  // shards > 1 only
   std::vector<std::unique_ptr<robot::RobotNode>> robots_;
 
   // Fault-model RNG streams, seeded only when the respective model is on so

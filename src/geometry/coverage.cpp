@@ -4,7 +4,7 @@
 #include <stack>
 #include <stdexcept>
 
-#include "geometry/spatial_hash.hpp"
+#include "spatial/uniform_grid.hpp"
 
 namespace sensrep::geometry {
 
@@ -17,8 +17,10 @@ CoverageReport analyze_coverage(const std::vector<Vec2>& sensors, const Rect& ar
   if (k < 1) throw std::invalid_argument("analyze_coverage: k must be >= 1");
   if (grid_side < 2) throw std::invalid_argument("analyze_coverage: grid_side must be >= 2");
 
-  SpatialHash index(sensing_radius);
-  for (std::uint32_t i = 0; i < sensors.size(); ++i) index.upsert(i, sensors[i]);
+  // Sensors outside `area` clamp into the border cells; distances use their
+  // true positions.
+  spatial::UniformGrid2D<std::uint32_t> index(area, sensing_radius);
+  for (std::uint32_t i = 0; i < sensors.size(); ++i) index.insert(i, sensors[i]);
 
   const double dx = area.width() / static_cast<double>(grid_side);
   const double dy = area.height() / static_cast<double>(grid_side);
@@ -32,7 +34,7 @@ CoverageReport analyze_coverage(const std::vector<Vec2>& sensors, const Rect& ar
     for (std::size_t gx = 0; gx < grid_side; ++gx) {
       const Vec2 p{area.min.x + (static_cast<double>(gx) + 0.5) * dx,
                    area.min.y + (static_cast<double>(gy) + 0.5) * dy};
-      const std::size_t deg = index.query_ball(p, sensing_radius).size();
+      const std::size_t deg = index.within_radius(p, sensing_radius).size();
       degree[gy * grid_side + gx] = deg;
       if (deg >= 1) ++covered;
       if (deg >= k) ++k_covered;

@@ -4,17 +4,17 @@
 #include <stack>
 #include <stdexcept>
 
-#include "geometry/spatial_hash.hpp"
+#include "spatial/uniform_grid.hpp"
 
 namespace sensrep::geometry {
 
 UnitDiskGraph::UnitDiskGraph(const std::vector<Vec2>& points, double radius) {
   if (radius <= 0.0) throw std::invalid_argument("UnitDiskGraph: radius must be positive");
   adjacency_.resize(points.size());
-  SpatialHash index(radius);
-  for (std::uint32_t i = 0; i < points.size(); ++i) index.upsert(i, points[i]);
+  spatial::UniformGrid2D<std::uint32_t> index(Rect::bounding(points), radius);
+  for (std::uint32_t i = 0; i < points.size(); ++i) index.insert(i, points[i]);
   for (std::uint32_t i = 0; i < points.size(); ++i) {
-    for (const std::uint32_t j : index.query_ball(points[i], radius)) {
+    for (const std::uint32_t j : index.within_radius(points[i], radius)) {
       if (j == i) continue;
       adjacency_[i].push_back(j);
       if (j > i) ++edges_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 #include "geometry/vec2.hpp"
 
@@ -16,6 +17,18 @@ struct Rect {
   /// Rectangle with a corner at the origin.
   [[nodiscard]] static constexpr Rect sized(double width, double height) noexcept {
     return Rect{{0.0, 0.0}, {width, height}};
+  }
+
+  /// Smallest rectangle holding every point; the zero rectangle at the
+  /// origin when there are none.
+  [[nodiscard]] static Rect bounding(const std::vector<Vec2>& points) noexcept {
+    if (points.empty()) return Rect{};
+    Rect box{points.front(), points.front()};
+    for (const Vec2 p : points) {
+      box.min = {std::min(box.min.x, p.x), std::min(box.min.y, p.y)};
+      box.max = {std::max(box.max.x, p.x), std::max(box.max.y, p.y)};
+    }
+    return box;
   }
 
   [[nodiscard]] constexpr double width() const noexcept { return max.x - min.x; }

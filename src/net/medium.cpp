@@ -43,12 +43,13 @@ void RadioConfig::validate() const {
 }
 
 Medium::Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
-               metrics::TransmissionCounters& counters, double bucket_size_m)
+               metrics::TransmissionCounters& counters, geometry::Rect bounds,
+               double cell_size_m)
     : sim_(&simulator),
       rng_(rng),
       config_(config),
       counters_(&counters),
-      index_(bucket_size_m) {
+      index_(bounds, cell_size_m) {
   config_.validate();
   if (config_.chaos.any_enabled()) {
     // fork() is a pure function of (seed, name): instantiating the chaos
@@ -63,12 +64,12 @@ void Medium::attach(NodeId id, Vec2 pos, double tx_range, ReceiveFn rx) {
   if (id >= nodes_.size()) nodes_.resize(id + 1);
   if (nodes_[id].attached) throw std::invalid_argument("Medium::attach: duplicate id");
   nodes_[id] = Transceiver{pos, tx_range, true, true, std::move(rx)};
-  index_.upsert(id, pos);
+  index_.insert(id, pos);
 }
 
 void Medium::detach(NodeId id) {
   if (id < nodes_.size()) nodes_[id] = Transceiver{};
-  index_.erase(id);
+  index_.remove(id);
 }
 
 const Medium::Transceiver& Medium::get(NodeId id) const {
@@ -87,7 +88,7 @@ Medium::Transceiver& Medium::get(NodeId id) {
 
 void Medium::set_position(NodeId id, Vec2 pos) {
   get(id).pos = pos;
-  index_.upsert(id, pos);
+  index_.move(id, pos);
 }
 
 void Medium::set_alive(NodeId id, bool alive_flag) { get(id).alive = alive_flag; }
@@ -111,7 +112,7 @@ bool Medium::in_range(NodeId sender, NodeId receiver) const {
 std::vector<NodeId> Medium::neighbors_of(NodeId sender) const {
   const Transceiver& s = get(sender);
   std::vector<NodeId> out;
-  for (const NodeId id : index_.query_ball(s.pos, s.tx_range)) {
+  for (const NodeId id : index_.within_radius(s.pos, s.tx_range)) {
     if (id == sender) continue;
     if (!nodes_[id].alive) continue;
     out.push_back(id);
@@ -121,7 +122,7 @@ std::vector<NodeId> Medium::neighbors_of(NodeId sender) const {
 
 std::vector<NodeId> Medium::nodes_near(Vec2 pos, double radius) const {
   std::vector<NodeId> out;
-  for (const NodeId id : index_.query_ball(pos, radius)) {
+  for (const NodeId id : index_.within_radius(pos, radius)) {
     if (nodes_[id].alive) out.push_back(id);
   }
   return out;
@@ -210,7 +211,7 @@ void Medium::broadcast(NodeId sender, Packet pkt) {
     return;
   }
   const sim::Duration delay = frame_delay(pkt);
-  for (const NodeId id : index_.query_ball(s.pos, s.tx_range)) {
+  for (const NodeId id : index_.within_radius(s.pos, s.tx_range)) {
     if (id == sender) continue;
     const Transceiver& r = nodes_[id];
     if (!r.alive) continue;

@@ -6,13 +6,14 @@
 #include <vector>
 
 #include "chaos/link_model.hpp"
-#include "geometry/spatial_hash.hpp"
+#include "geometry/rect.hpp"
 #include "geometry/vec2.hpp"
 #include "metrics/counters.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics_registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "spatial/uniform_grid.hpp"
 
 namespace sensrep::net {
 
@@ -59,10 +60,14 @@ class Medium {
   /// Called on packet reception: (packet, link-layer sender).
   using ReceiveFn = std::function<void(const Packet&, NodeId from)>;
 
-  /// `bucket_size_m` tunes the spatial index; the sensor TX range is a good
-  /// choice. All references must outlive the medium.
+  /// `bounds` is the field the transceivers live in and `cell_size_m` the
+  /// spatial index's cell edge; the sensor TX range is a good choice. Nodes
+  /// outside `bounds` are still indexed (clamped into the border cells) and
+  /// reached exactly, only less cheaply. All references must outlive the
+  /// medium.
   Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
-         metrics::TransmissionCounters& counters, double bucket_size_m = 63.0);
+         metrics::TransmissionCounters& counters, geometry::Rect bounds,
+         double cell_size_m);
 
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
@@ -170,7 +175,7 @@ class Medium {
   sim::Rng rng_;
   RadioConfig config_;
   metrics::TransmissionCounters* counters_;
-  geometry::SpatialHash index_;
+  spatial::UniformGrid2D<NodeId> index_;
   /// Dense table indexed by NodeId (ids are dense: sensors [0, n), robots and
   /// the manager right above). Hot delivery paths index straight into it
   /// instead of hashing per receiver.

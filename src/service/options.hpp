@@ -33,12 +33,6 @@ struct DaemonOptions {
   /// runs underneath the injected events.
   bool spontaneous_failures = true;
 
-  /// Spatially sharded execution (FieldConfig::shards): tile workers between
-  /// deterministic barriers. Part of the snapshot genesis for the record,
-  /// although any value replays the same observable state (docs/SHARDING.md);
-  /// a snapshot taken at N shards restores bitwise at any other count.
-  std::size_t shards = 1;
-
   /// Telemetry sampling period in sim seconds; 0 disables the exporter.
   /// Sampling runs on the virtual clock so the stream is deterministic.
   double telemetry_period = 0.0;
@@ -97,7 +91,6 @@ struct DaemonOptions {
     cfg.sim_duration = horizon;
     cfg.field.lifetime.mean = mean_lifetime;
     cfg.field.spontaneous_failures = spontaneous_failures;
-    cfg.field.shards = shards;
     cfg.radio.loss_probability = loss;
     cfg.robot_faults.external = true;
     return cfg;

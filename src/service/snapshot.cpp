@@ -99,9 +99,6 @@ void Snapshot::write(std::ostream& out) const {
   out << trace::strfmt("mean-lifetime %.17g\n", options.mean_lifetime);
   out << trace::strfmt("loss %.17g\n", options.loss);
   out << "spontaneous " << (options.spontaneous_failures ? 1 : 0) << '\n';
-  // Written only when sharded so single-shard snapshots keep the historical
-  // format byte-for-byte (readers default a missing key to 1).
-  if (options.shards != 1) out << "shards " << options.shards << '\n';
   out << trace::strfmt("telemetry-period %.17g\n", options.telemetry_period);
   out << trace::strfmt("retention-window %.17g\n", options.retention_window);
   out << "trace-stages " << (options.trace_stages ? 1 : 0) << '\n';
@@ -152,7 +149,12 @@ Snapshot Snapshot::read(std::istream& in) {
     } else if (key == "spontaneous") {
       snap.options.spontaneous_failures = parse_bool(rest, "spontaneous");
     } else if (key == "shards") {
-      snap.options.shards = static_cast<std::size_t>(parse_u64(rest, "shards"));
+      // Older snapshots may record the shard count of a since-removed
+      // parallel schedule. Any count replayed the same state, so it is
+      // validated and ignored.
+      if (parse_u64(rest, "shards") == 0) {
+        throw std::runtime_error("snapshot: bad shards '" + rest + "'");
+      }
     } else if (key == "telemetry-period") {
       snap.options.telemetry_period = parse_double(rest, "telemetry-period");
     } else if (key == "retention-window") {

@@ -16,32 +16,21 @@ EventQueue::~EventQueue() {
   }
 }
 
-void EventQueue::set_legacy(bool legacy) {
-  if (next_seq_ != 1 || !heap_times_.empty()) {
-    throw std::logic_error("EventQueue::set_legacy: queue already used");
-  }
-  legacy_ = legacy;
-}
-
 bool EventQueue::cancel(EventId id) noexcept {
   if (!id.valid()) return false;
-  if (legacy_) {
-    if (live_map_.erase(id.value) == 0) return false;
-  } else {
-    const auto index = static_cast<std::uint32_t>(id.value >> 32);
-    if (index >= pool_slots()) return false;
-    Slot& s = slot_at(index);
-    if (s.state != SlotState::kLive || s.gen != static_cast<std::uint32_t>(id.value)) {
-      return false;
-    }
-    s.destroy(s);
-    s.invoke = nullptr;
-    s.destroy = nullptr;
-    // Park the slot: its seq must stay readable while the heap entry is
-    // still comparable; skim()/maybe_compact() recycle it on discard.
-    s.state = SlotState::kCancelled;
-    --live_count_;
+  const auto index = static_cast<std::uint32_t>(id.value >> 32);
+  if (index >= pool_slots()) return false;
+  Slot& s = slot_at(index);
+  if (s.state != SlotState::kLive || s.gen != static_cast<std::uint32_t>(id.value)) {
+    return false;
   }
+  s.destroy(s);
+  s.invoke = nullptr;
+  s.destroy = nullptr;
+  // Park the slot: its seq must stay readable while the heap entry is
+  // still comparable; skim()/maybe_compact() recycle it on discard.
+  s.state = SlotState::kCancelled;
+  --live_count_;
   obs::Metrics::inc(obs::Counter::kEventsCancelled);
   ++dead_in_heap_;
   maybe_compact();
@@ -64,17 +53,10 @@ EventQueue::Popped EventQueue::pop() {
   assert(!heap_times_.empty());
   const HeapEntry top{heap_times_.front(), heap_keys_.front()};
   heap_pop_front();
-  if (legacy_) {
-    auto it = live_map_.find(top.key);
-    assert(it != live_map_.end());
-    Callback cb = std::move(it->second);
-    live_map_.erase(it);
-    return Popped(top.time, EventId{top.key}, this, kNoSlot, std::move(cb));
-  }
   const auto index = static_cast<std::uint32_t>(top.key >> 32);
   slot_at(index).state = SlotState::kPopped;
   --live_count_;
-  return Popped(top.time, EventId{top.key}, this, index, Callback{});
+  return Popped(top.time, EventId{top.key}, this, index);
 }
 
 EventQueue::Popped::~Popped() {
@@ -82,12 +64,8 @@ EventQueue::Popped::~Popped() {
 }
 
 void EventQueue::Popped::callback() {
-  if (slot_ != kNoSlot) {
-    Slot& s = queue_->slot_at(slot_);
-    s.invoke(s);
-  } else {
-    boxed_();
-  }
+  Slot& s = queue_->slot_at(slot_);
+  s.invoke(s);
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -130,17 +108,14 @@ void EventQueue::release_popped(std::uint32_t index) noexcept {
 }
 
 bool EventQueue::is_live(std::uint64_t key) const noexcept {
-  if (legacy_) return live_map_.contains(key);
   const auto index = static_cast<std::uint32_t>(key >> 32);
   if (index >= pool_slots()) return false;
   const Slot& s = slot_at(index);
   return s.state == SlotState::kLive && s.gen == static_cast<std::uint32_t>(key);
 }
 
-/// Recycles the parked slot backing a dead pooled heap entry (no-op for
-/// legacy keys, whose map node is long gone).
+/// Recycles the parked slot backing a dead heap entry.
 void EventQueue::drop_dead_key(std::uint64_t key) noexcept {
-  if (legacy_) return;
   const auto index = static_cast<std::uint32_t>(key >> 32);
   [[maybe_unused]] const Slot& s = slot_at(index);
   assert(s.state == SlotState::kCancelled &&

@@ -9,7 +9,6 @@
 #include <new>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,10 +49,6 @@ struct EventId {
 /// cancel/reschedule churn (lease auto-tune, every() timers), the heap is
 /// compacted in place whenever dead entries exceed live ones.
 ///
-/// The legacy mode (set_legacy) retains the previous implementation —
-/// boxed std::function callbacks in an unordered_map — as a differential
-/// oracle: tests drive identical operation sequences through both modes and
-/// require identical pop order and timestamps.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -70,11 +65,6 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Switches to the legacy (map + std::function) storage strategy. Only
-  /// callable before the first schedule(); throws std::logic_error after.
-  void set_legacy(bool legacy);
-  [[nodiscard]] bool legacy() const noexcept { return legacy_; }
-
   /// Schedules `cb` at absolute time `t`. Requires is_valid_time(t) and, for
   /// callables testable for null (std::function, function pointers), a
   /// non-null callable.
@@ -90,14 +80,7 @@ class EventQueue {
     }
     const obs::ScopedTimer probe(obs::Probe::kEventPush);
     obs::Metrics::inc(obs::Counter::kEventsScheduled);
-    const std::uint64_t seq = next_seq_++;
-    EventId id;
-    if (legacy_) {
-      id.value = seq;
-      live_map_.emplace(seq, Callback(std::forward<F>(cb)));
-    } else {
-      id.value = store(std::forward<F>(cb), seq);
-    }
+    const EventId id{store(std::forward<F>(cb), next_seq_++)};
     heap_push(HeapEntry{t, id.value});
     return id;
   }
@@ -109,14 +92,10 @@ class EventQueue {
   bool cancel(EventId id) noexcept;
 
   /// True if there is at least one live (non-cancelled) event pending.
-  [[nodiscard]] bool empty() const noexcept {
-    return legacy_ ? live_map_.empty() : live_count_ == 0;
-  }
+  [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
 
   /// Number of live pending events.
-  [[nodiscard]] std::size_t size() const noexcept {
-    return legacy_ ? live_map_.size() : live_count_;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// Timestamp of the earliest live event. Requires !empty(). Always skims
   /// cancelled entries off the top first, so the value agrees with what the
@@ -130,8 +109,7 @@ class EventQueue {
   class Popped {
    public:
     Popped(Popped&& other) noexcept
-        : time(other.time), id(other.id), queue_(other.queue_), slot_(other.slot_),
-          boxed_(std::move(other.boxed_)) {
+        : time(other.time), id(other.id), queue_(other.queue_), slot_(other.slot_) {
       other.queue_ = nullptr;
       other.slot_ = kNoSlot;
     }
@@ -148,12 +126,11 @@ class EventQueue {
 
    private:
     friend class EventQueue;
-    Popped(SimTime t, EventId i, EventQueue* q, std::uint32_t slot, Callback boxed)
-        : time(t), id(i), queue_(q), slot_(slot), boxed_(std::move(boxed)) {}
+    Popped(SimTime t, EventId i, EventQueue* q, std::uint32_t slot)
+        : time(t), id(i), queue_(q), slot_(slot) {}
 
     EventQueue* queue_ = nullptr;
     std::uint32_t slot_;
-    Callback boxed_;  // legacy mode only
   };
 
   /// Pops the earliest live event. Requires !empty().
@@ -169,7 +146,7 @@ class EventQueue {
   /// Lazily-cancelled entries still parked in the heap.
   [[nodiscard]] std::size_t dead_entries() const noexcept { return dead_in_heap_; }
 
-  /// Slots ever materialized by the pool (0 in legacy mode). Bounded by the
+  /// Slots ever materialized by the pool. Bounded by the
   /// peak number of simultaneously pending-or-parked entries (itself bounded
   /// by compaction), not by throughput.
   [[nodiscard]] std::size_t pool_slots() const noexcept {
@@ -186,13 +163,12 @@ class EventQueue {
   /// jittered delivery times make rare.
   struct HeapEntry {
     SimTime time;
-    std::uint64_t key;  // EventId::value (slot|gen pooled, seq legacy)
+    std::uint64_t key;  // EventId::value: (slot index << 32) | generation
   };
 
-  /// Schedule sequence number behind a heap key: lives in the slot (pooled)
-  /// or IS the key (legacy).
+  /// Schedule sequence number behind a heap key; it lives in the slot.
   [[nodiscard]] std::uint64_t seq_of(std::uint64_t key) const noexcept {
-    return legacy_ ? key : slot_at(static_cast<std::uint32_t>(key >> 32)).seq;
+    return slot_at(static_cast<std::uint32_t>(key >> 32)).seq;
   }
 
   /// True if (ta, ka) pops after (tb, kb) (min-heap order on (time, seq)).
@@ -304,8 +280,7 @@ class EventQueue {
 
   [[nodiscard]] bool is_live(std::uint64_t key) const noexcept;
 
-  /// Recycles the parked slot behind a dead pooled heap entry being
-  /// discarded (no-op in legacy mode).
+  /// Recycles the parked slot behind a dead heap entry being discarded.
   void drop_dead_key(std::uint64_t key) noexcept;
 
   /// Discards cancelled entries from the top of the heap.
@@ -315,7 +290,6 @@ class EventQueue {
   /// live ones (the cancel/reschedule-churn bound).
   void maybe_compact() noexcept;
 
-  bool legacy_ = false;
   // 4-ary min-heap under pops_later, structure-of-arrays: entry i is
   // (heap_times_[i], heap_keys_[i]); the two vectors move in lockstep.
   std::vector<SimTime> heap_times_;
@@ -323,13 +297,9 @@ class EventQueue {
   std::uint64_t next_seq_ = 1;
   std::size_t dead_in_heap_ = 0;
 
-  // Pooled mode.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_count_ = 0;
-
-  // Legacy mode.
-  std::unordered_map<std::uint64_t, Callback> live_map_;
 };
 
 }  // namespace sensrep::sim

@@ -34,12 +34,6 @@ class Simulator {
   /// Current simulation time (seconds).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Pre-run switch to the legacy event-queue storage strategy (differential
-  /// testing, and the --legacy-hot-path escape hatch). Throws std::logic_error
-  /// once anything has been scheduled.
-  void use_legacy_queue(bool legacy) { queue_.set_legacy(legacy); }
-  [[nodiscard]] bool legacy_queue() const noexcept { return queue_.legacy(); }
-
   /// Schedules `cb` at absolute time `t`. Requires t >= now().
   template <typename F>
   EventId at(SimTime t, F&& cb) {
@@ -115,18 +109,6 @@ class Simulator {
 
   /// Total events executed since construction (diagnostics).
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
-
-  /// Timestamp of the earliest pending event. Requires pending() > 0. The
-  /// sharded driver (src/shard) uses this to bound its parallel tick windows
-  /// so no global event ever executes mid-window.
-  [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
-
-  /// Credits events executed outside the queue on the engine's behalf. The
-  /// sharded driver runs per-sensor beacon ticks on tile workers and merges
-  /// the counts back at its barriers, keeping executed() — and therefore
-  /// StateDigest::events_executed — bitwise identical to the single-shard
-  /// schedule that would have run the same ticks in-queue.
-  void note_external_executed(std::uint64_t n) noexcept { executed_ += n; }
 
  private:
   struct PeriodicState {

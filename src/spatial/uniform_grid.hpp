@@ -16,9 +16,8 @@ namespace sensrep::spatial {
 
 /// Bounded uniform-grid bucket index over point objects.
 ///
-/// Unlike geometry::SpatialHash (an unbounded hash map keyed by quantized
-/// coordinates), this grid is sized once from a known field rectangle and
-/// stores its buckets in a flat row-major vector, which makes whole-index
+/// The grid is sized once from a known field rectangle and stores its
+/// buckets in a flat row-major vector, which makes whole-index
 /// iteration deterministic and cheap: cell-major (row-major over cells),
 /// then insertion order within a cell. Points outside the bounds are clamped
 /// into the border cells, so the index never rejects a position — exact
@@ -151,7 +150,7 @@ class UniformGrid2D {
     return nearest_impl(p, accept, [](double d2) { return std::sqrt(d2); });
   }
 
-  /// Ids within the closed ball (fl(d2) <= fl(r*r), the SpatialHash
+  /// Ids within the closed ball (fl(d2) <= fl(r*r), the medium's unit-disk
   /// predicate), ascending.
   [[nodiscard]] std::vector<Id> within_radius(geometry::Vec2 p, double r) const {
     std::vector<Id> out;

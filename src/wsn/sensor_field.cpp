@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "geometry/spatial_hash.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/log.hpp"
@@ -51,32 +50,14 @@ void SensorField::deploy(const std::vector<Vec2>& positions) {
   last_beacon_soa_.assign(slots_.size(), 0.0);
 
   // Static sensor-sensor adjacency: sensors never move and replacements land
-  // on the same coordinates, so this graph is computed once. Both index
-  // structures use the same closed-ball d^2 <= r^2 predicate and return ids
-  // ascending, so the adjacency lists are identical either way.
+  // on the same coordinates, so this graph is computed once, under the
+  // closed-ball d^2 <= r^2 predicate with ids ascending.
+  grid_.emplace(geometry::Rect::bounding(positions), config_.sensor_tx_range);
+  for (const auto& s : slots_) grid_->insert(s->id(), s->position());
   adjacency_.resize(slots_.size());
-  if (config_.spatial_index && !slots_.empty()) {
-    geometry::Rect box{positions.front(), positions.front()};
-    for (const Vec2 p : positions) {
-      box.min = {std::min(box.min.x, p.x), std::min(box.min.y, p.y)};
-      box.max = {std::max(box.max.x, p.x), std::max(box.max.y, p.y)};
-    }
-    grid_.emplace(box, config_.sensor_tx_range);
-    for (const auto& s : slots_) grid_->insert(s->id(), s->position());
-    for (const auto& s : slots_) {
-      auto& adj = adjacency_[s->id()];
-      for (const NodeId m : grid_->within_radius(s->position(), config_.sensor_tx_range)) {
-        if (m == s->id()) continue;
-        adj.push_back({m, slots_[m]->position()});
-      }
-    }
-    return;
-  }
-  geometry::SpatialHash index(config_.sensor_tx_range);
-  for (const auto& s : slots_) index.upsert(s->id(), s->position());
   for (const auto& s : slots_) {
     auto& adj = adjacency_[s->id()];
-    for (const NodeId m : index.query_ball(s->position(), config_.sensor_tx_range)) {
+    for (const NodeId m : grid_->within_radius(s->position(), config_.sensor_tx_range)) {
       if (m == s->id()) continue;
       adj.push_back({m, slots_[m]->position()});
     }
@@ -85,19 +66,13 @@ void SensorField::deploy(const std::vector<Vec2>& positions) {
 
 std::vector<NodeId> SensorField::slots_within(Vec2 center, double range) const {
   std::vector<NodeId> out;
-  if (grid_) {
-    // Candidate cells are a superset of the ball; the exact predicate below
-    // is the same sqrt-form comparison the brute path runs, so the accepted
-    // set matches bit for bit. Candidates arrive cell-major, hence the sort.
-    grid_->for_each_candidate(center, range, [&](NodeId id, Vec2 pos) {
-      if (geometry::distance(pos, center) <= range) out.push_back(id);
-    });
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  for (const auto& s : slots_) {
-    if (geometry::distance(s->position(), center) <= range) out.push_back(s->id());
-  }
+  if (!grid_) return out;  // not deployed yet
+  // Candidate cells are a superset of the ball; the exact sqrt-form
+  // predicate decides. Candidates arrive cell-major, hence the sort.
+  grid_->for_each_candidate(center, range, [&](NodeId id, Vec2 pos) {
+    if (geometry::distance(pos, center) <= range) out.push_back(id);
+  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -126,21 +101,14 @@ void SensorField::start() {
 
 void SensorField::activate_clocks(SensorNode& n) {
   // Beacon phase is drawn per activation so replacement units do not stay
-  // synchronized with their predecessors. The draw happens before the
-  // tick-driver branch so both schedules consume the identical RNG stream.
+  // synchronized with their predecessors.
   const double phase = rng_.uniform(0.0, config_.beacon_period);
-  if (tick_driver_) {
-    // Sharded: the driver owns the series. Same fire times as the in-queue
-    // schedule below — first at now+phase, then every beacon_period.
-    tick_driver_->arm_tick(n.id(), sim_->now() + phase, config_.beacon_period);
-  } else {
-    SensorNode* node_ptr = &n;
-    n.tick_timer_ = sim_->in(phase, [this, node_ptr] {
-      node_ptr->tick();
-      node_ptr->tick_timer_ =
-          sim_->every(config_.beacon_period, [node_ptr] { node_ptr->tick(); });
-    });
-  }
+  SensorNode* node_ptr = &n;
+  n.tick_timer_ = sim_->in(phase, [this, node_ptr] {
+    node_ptr->tick();
+    node_ptr->tick_timer_ =
+        sim_->every(config_.beacon_period, [node_ptr] { node_ptr->tick(); });
+  });
   schedule_lifetime(n);
 }
 
@@ -171,14 +139,12 @@ const std::vector<routing::NeighborEntry>& SensorField::static_neighbors(NodeId 
 
 sim::SimTime SensorField::last_beacon(NodeId id) const {
   if (!is_sensor(id)) return sim::kNever;
-  if (config_.data_oriented) return last_beacon_soa_[id];
-  return slots_[id]->last_beacon();
+  return last_beacon_soa_[id];
 }
 
 bool SensorField::slot_alive(NodeId id) const {
   if (!is_sensor(id)) return false;
-  if (config_.data_oriented) return alive_soa_[id] != 0;
-  return slots_[id]->alive();
+  return alive_soa_[id] != 0;
 }
 
 void SensorField::fail_slot(NodeId slot) {
@@ -314,14 +280,9 @@ void SensorField::note_unreported(NodeId slot) {
 }
 
 std::size_t SensorField::alive_count() const noexcept {
-  if (config_.data_oriented) {
-    // Batched pass over the flat alive bits — one cache line covers 64 slots.
-    std::size_t n = 0;
-    for (const std::uint8_t a : alive_soa_) n += a;
-    return n;
-  }
+  // Batched pass over the flat alive bits — one cache line covers 64 slots.
   std::size_t n = 0;
-  for (const auto& s : slots_) n += s->alive() ? 1 : 0;
+  for (const std::uint8_t a : alive_soa_) n += a;
   return n;
 }
 
@@ -342,9 +303,9 @@ std::size_t SensorField::unguarded_count() const noexcept {
 double SensorField::coverage_fraction(const geometry::Rect& area, double sensing_radius,
                                       std::size_t grid_side) const {
   assert(grid_side > 0);
-  geometry::SpatialHash alive(sensing_radius);
+  spatial::UniformGrid2D<NodeId> alive(area, sensing_radius);
   for (const auto& s : slots_) {
-    if (s->alive()) alive.upsert(s->id(), s->position());
+    if (s->alive()) alive.insert(s->id(), s->position());
   }
   std::size_t covered = 0;
   const double dx = area.width() / static_cast<double>(grid_side);
@@ -353,7 +314,7 @@ double SensorField::coverage_fraction(const geometry::Rect& area, double sensing
     for (std::size_t gx = 0; gx < grid_side; ++gx) {
       const Vec2 p{area.min.x + (static_cast<double>(gx) + 0.5) * dx,
                    area.min.y + (static_cast<double>(gy) + 0.5) * dy};
-      if (!alive.query_ball(p, sensing_radius).empty()) ++covered;
+      if (!alive.within_radius(p, sensing_radius).empty()) ++covered;
     }
   }
   return static_cast<double>(covered) / static_cast<double>(grid_side * grid_side);

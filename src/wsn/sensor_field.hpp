@@ -62,23 +62,6 @@ struct FieldConfig {
   /// the lease window alongside robot_stale_window.
   double failure_rereport_period = 0.0;
 
-  /// Spatial indexing (src/spatial): accelerate proximity queries — static
-  /// adjacency construction, manager-range sensor scans, fixed-subarea
-  /// membership, dynamic flood scoping, closest-live-robot, and batched
-  /// robot-knowledge aging — with a UniformGrid2D instead of brute-force
-  /// scans. The grid paths reproduce the brute-force comparators exactly
-  /// (see docs/SPATIAL.md), so flipping this switch changes nothing but
-  /// speed; CI diffs the golden CSVs both ways to keep it that way.
-  bool spatial_index = true;
-
-  /// Data-oriented hot loop: the simulator's pooled event-queue storage plus
-  /// flat struct-of-arrays mirrors of the per-tick-scanned slot state (alive
-  /// bits, last-beacon stamps) so beacon-staleness and liveness sweeps read
-  /// contiguous vectors instead of chasing per-node pointers. Pure layout
-  /// change — the legacy path is preserved behind --legacy-hot-path, and CI
-  /// proves both produce byte-identical results (see tests/hot_path_test.cpp).
-  bool data_oriented = true;
-
   /// Extension beyond the paper: every sensor watches *all* of its static
   /// neighbors, not just its confirmed guardees. The paper's guardian-guardee
   /// scheme assumes a guardian and its guardee rarely die together — true
@@ -87,32 +70,6 @@ struct FieldConfig {
   /// ever reported. Neighborhood watch trades duplicate reports (deduped at
   /// the robots) for detection that heals holes inward from the rim.
   bool neighborhood_watch = false;
-
-  /// Spatial sharding (src/shard): partition the field into this many
-  /// grid-aligned column tiles and run each tile's beacon ticks on its own
-  /// worker between deterministic barriers. 1 = the stock single-shard
-  /// schedule (the equivalence baseline); >1 requires data_oriented (the
-  /// tile workers read the flat last-beacon mirror, never SensorNode
-  /// pointers of foreign tiles). See docs/SHARDING.md.
-  std::size_t shards = 1;
-};
-
-/// Hand-off point between the field and the sharded tick scheduler
-/// (shard::ShardedDriver). When installed, per-sensor beacon tick series are
-/// armed here instead of in the simulator's event queue; the driver fires
-/// them tile-parallel between barriers and keeps executed/pending accounting
-/// identical to the in-queue schedule.
-class TickDriver {
- public:
-  virtual ~TickDriver() = default;
-
-  /// Takes over `slot`'s beacon series: first fire at absolute time `first`,
-  /// then every `period` seconds until disarmed.
-  virtual void arm_tick(net::NodeId slot, sim::SimTime first, double period) = 0;
-
-  /// Stops `slot`'s beacon series (the sharded analogue of cancelling
-  /// SensorNode::tick_timer_). Idempotent.
-  virtual void disarm_tick(net::NodeId slot) = 0;
 };
 
 /// The static sensor network: slots, their fixed adjacency, beacon/lifetime
@@ -155,12 +112,6 @@ class SensorField {
   /// tracer must outlive the field.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
-  /// Routes beacon tick series through `driver` (nullptr restores the
-  /// in-queue schedule). Must be installed before start(); the driver must
-  /// outlive the field.
-  void set_tick_driver(TickDriver* driver) noexcept { tick_driver_ = driver; }
-  [[nodiscard]] TickDriver* tick_driver() const noexcept { return tick_driver_; }
-
   // --- topology & lookup --------------------------------------------------
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
@@ -168,9 +119,7 @@ class SensorField {
 
   /// Slot ids within `range` of `center` (closed ball under the sqrt-based
   /// `distance(slot, center) <= range` test every call site has always
-  /// used), in ascending id order. Grid-accelerated when
-  /// FieldConfig::spatial_index is on; brute scan otherwise — both paths
-  /// evaluate the identical predicate over the identical candidate order.
+  /// used), in ascending id order. Grid-accelerated.
   [[nodiscard]] std::vector<net::NodeId> slots_within(geometry::Vec2 center,
                                                       double range) const;
   [[nodiscard]] SensorNode& node(net::NodeId id);
@@ -179,12 +128,12 @@ class SensorField {
       net::NodeId id) const;
 
   /// Timestamp of the node's most recent beacon; kNever for non-sensors.
-  /// data_oriented mode reads the flat mirror (no SensorNode dereference) —
-  /// this is the per-neighbor read inside every staleness check.
+  /// Reads the flat mirror (no SensorNode dereference) — this is the
+  /// per-neighbor read inside every staleness check.
   [[nodiscard]] sim::SimTime last_beacon(net::NodeId id) const;
 
-  /// Whether the slot's unit is alive; false for non-sensors. data_oriented
-  /// mode reads the flat alive-bit mirror.
+  /// Whether the slot's unit is alive; false for non-sensors. Reads the flat
+  /// alive-bit mirror.
   [[nodiscard]] bool slot_alive(net::NodeId id) const;
 
   /// Beacon-staleness window: stale_beacon_count * beacon_period.
@@ -248,30 +197,25 @@ class SensorField {
   Hooks hooks_;
 
   /// SensorNode beacon hook: keeps the flat last-beacon mirror in sync with
-  /// the node's own stamp (called from tick() and revive()). Under sharding
-  /// all stores happen on the driver thread at barriers; the parallel
-  /// classification phase only *reads* the frozen mirror (docs/SHARDING.md
-  /// §3), so a plain store is race-free in both schedules.
+  /// the node's own stamp (called from tick() and revive()).
   void note_beacon(net::NodeId slot, sim::SimTime when) noexcept {
     if (slot < last_beacon_soa_.size()) last_beacon_soa_[slot] = when;
   }
 
   std::vector<std::unique_ptr<SensorNode>> slots_;
-  /// data_oriented: struct-of-arrays mirrors of per-slot hot state, indexed
-  /// by slot id (ids are dense). Maintained unconditionally (writes are
-  /// cheap); only the *reads* are gated on FieldConfig::data_oriented so the
-  /// legacy path stays byte-for-byte what it was.
+  /// Struct-of-arrays mirrors of per-slot hot state, indexed by slot id
+  /// (ids are dense), so beacon-staleness and liveness sweeps read
+  /// contiguous vectors instead of chasing per-node pointers.
   std::vector<std::uint8_t> alive_soa_;
   std::vector<sim::SimTime> last_beacon_soa_;
-  /// Sensor positions bucketed at TX-range granularity (spatial_index mode).
-  /// Built once in deploy(): slots never move, replacements keep coordinates.
+  /// Sensor positions bucketed at TX-range granularity. Built once in
+  /// deploy(): slots never move, replacements keep coordinates.
   std::optional<spatial::UniformGrid2D<net::NodeId>> grid_;
   std::vector<std::vector<routing::NeighborEntry>> adjacency_;
   std::vector<std::optional<metrics::FailureLog::FailureId>> open_failure_;
   std::size_t unreported_ = 0;
   trace::EventLog* event_log_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  TickDriver* tick_driver_ = nullptr;
 };
 
 }  // namespace sensrep::wsn

@@ -122,8 +122,6 @@ void SensorNode::fail() {
     field_->simulator().cancel(tick_timer_);
     tick_timer_ = {};
   }
-  // Sharded mode: the beacon series lives in the tile ticker, not the queue.
-  if (auto* driver = field_->tick_driver()) driver->disarm_tick(id_);
   // The dead unit's protocol state dies with it; the slot id survives.
   guardian_ = kNoNode;
   guardees_.clear();
@@ -149,10 +147,6 @@ void SensorNode::revive() {
 }
 
 bool SensorNode::neighbor_is_stale(NodeId id) const {
-  return neighbor_stale_at(id, field_->simulator().now());
-}
-
-bool SensorNode::neighbor_stale_at(NodeId id, sim::SimTime now) const {
   sim::SimTime last;
   if (field_->config().materialize_beacons) {
     // Honest mode: judged from the beacons this node actually received.
@@ -163,7 +157,7 @@ bool SensorNode::neighbor_stale_at(NodeId id, sim::SimTime now) const {
     // timestamp is what a receiver in range would have heard.
     last = field_->last_beacon(id);
   }
-  return last + field_->staleness_window() < now;
+  return last + field_->staleness_window() < field_->simulator().now();
 }
 
 void SensorNode::choose_guardian() {
@@ -266,69 +260,14 @@ void SensorNode::tick() {
   }
 }
 
-bool SensorNode::quiet_tick_viable(sim::SimTime t) const {
-  // Mirrors tick()'s decision points with pure reads against the frozen
-  // window state, in tick()'s order. Each verdict below matches the branch
-  // the sequential tick() would take at t: stamps of alive neighbors cannot
-  // cross the staleness threshold within one window (the driver caps windows
-  // at one beacon period and validation requires stale_beacon_count >= 2),
-  // and dead neighbors' stamps are frozen, so reading pre-window stamps
-  // instead of mid-window ones never flips a verdict.
-  if (!alive_) return false;  // defensive: fail() disarms the series first
-  const FieldConfig& cfg = field_->config();
-  // Honest-beacon mode broadcasts a real frame every tick — always escalate.
-  if (cfg.materialize_beacons) return false;
-  // Guardian side-check: unguarded nodes retry choose_guardian() (counted
-  // unicasts), stale guardians get dropped and replaced.
-  if (guardian_ == kNoNode || neighbor_stale_at(guardian_, t)) return false;
-  // Guardee scan: any silent guardee means a failure report this tick.
-  for (const NodeId e : guardees_) {
-    if (neighbor_stale_at(e, t)) return false;
-  }
-  // Rereport scan: a due entry sends a report. Due-ness is frozen within a
-  // window (own reports stamp it; repairs only happen at global events).
-  if (cfg.failure_rereport_period > 0.0) {
-    for (const auto& [slot, stamp] : reported_pending_) {
-      if (field_->open_failure(slot) && stamp + cfg.failure_rereport_period <= t) {
-        return false;
-      }
-    }
-  }
-  // Neighborhood watch: a silent static neighbor not yet reported for this
-  // silence episode triggers a report. (No stale guardees here, so tick()'s
-  // guardee-overlap dedup cannot apply.)
-  if (cfg.neighborhood_watch) {
-    for (const auto& e : field_->static_neighbors(id_)) {
-      if (!neighbor_stale_at(e.id, t)) continue;
-      const sim::SimTime silent_since = field_->last_beacon(e.id);
-      const auto it = watch_reported_.find(e.id);
-      if (it == watch_reported_.end() || it->second != silent_since) return false;
-    }
-  }
-  return true;
-}
-
-void SensorNode::commit_quiet_tick(sim::SimTime t) {
-  // The self-local subset of tick() at time t, evaluated against the live
-  // barrier state (mid-window deliveries, e.g. location-update floods, have
-  // already been applied in canonical order by the driver's run_until).
-  const FieldConfig& cfg = field_->config();
-  last_beacon_ = t;
-  field_->note_beacon(id_, t);
-  if (cfg.robot_stale_window > 0.0) age_robot_knowledge(t);
-  // Nothing is due (quiet_tick_viable checked; due-ness is window-frozen),
-  // so this only erases repaired entries — tick()'s identical cleanup.
-  if (cfg.failure_rereport_period > 0.0) rereport_stale_failures(t);
-}
-
 void SensorNode::age_robot_knowledge(sim::SimTime now) {
   const double window = field_->config().robot_stale_window;
-  // Batched aging (spatial_index): robots_heard_floor_ is a lower bound on
+  // Batched aging: robots_heard_floor_ is a lower bound on
   // every entry's heard_at, so while the *oldest possible* entry is still
   // inside the window the scan can expire nothing — skip it. heard_at only
   // rises between scans, which keeps the bound conservative; a full scan
   // re-tightens it to the exact minimum.
-  if (field_->config().spatial_index && robots_heard_floor_ + window >= now) return;
+  if (robots_heard_floor_ + window >= now) return;
   bool dropped_myrobot = false;
   sim::SimTime floor = sim::kNever;
   // In-place compaction over the flat table: one contiguous pass, keeping

@@ -104,26 +104,6 @@ class SensorNode {
   /// node's guardian and guardees.
   void tick();
 
-  /// Sharded fast path (src/shard), phase A: classifies the tick scheduled
-  /// for time `t` with pure reads so tile workers can run it in parallel
-  /// against frozen window state. Returns true when the tick is *quiet* —
-  /// it would perform only the self-local steady-state work (beacon stamp,
-  /// robot-knowledge aging, repaired-rereport cleanup), which the driver
-  /// then applies via commit_quiet_tick() at its barrier. Returns false when
-  /// tick() would take any order-sensitive branch (stale guardian/guardee,
-  /// rereport due, unguarded, watch report needed, materialize_beacons): the
-  /// driver replays the full tick() at the barrier in canonical order. The
-  /// verdict equals the branch outcome the sequential tick() would reach at
-  /// `t` (docs/SHARDING.md §3). Must not touch the simulator, the medium, or
-  /// mutable state of any node — it runs off the driver thread.
-  [[nodiscard]] bool quiet_tick_viable(sim::SimTime t) const;
-
-  /// Sharded fast path, barrier side: commits the self-local effects of a
-  /// quiet tick at time `t` — exactly what tick() would have done minus the
-  /// branches quiet_tick_viable() ruled out. Beacon *accounting* is the
-  /// caller's (bulk-merged into the medium per window). Driver thread only.
-  void commit_quiet_tick(sim::SimTime t);
-
   /// Repopulates the neighbor table from the beacons a freshly powered unit
   /// hears during its first beacon period (SensorField schedules this one
   /// period after revive()).
@@ -146,20 +126,15 @@ class SensorNode {
   void report_guardee_failure(net::NodeId failed);
   /// Robot fault tolerance (FieldConfig::robot_stale_window): drops robots
   /// not heard from within the window and re-picks myrobot if it was one.
-  /// `now` is the tick's scheduled time — the simulator clock on the
-  /// sequential path, the explicit window time on the sharded one.
   void age_robot_knowledge(sim::SimTime now);
   /// Robot fault tolerance (FieldConfig::failure_rereport_period): re-sends
-  /// reports for failures that are still unrepaired (same `now` contract).
+  /// reports for failures that are still unrepaired.
   void rereport_stale_failures(sim::SimTime now);
   /// reliable_reports: schedules a retransmission unless acked first.
   void arm_report_retry(net::NodeId failed);
   /// reliable_reports: a kReportAck for `failed` reached this node.
   void on_report_ack(net::NodeId failed);
   [[nodiscard]] bool neighbor_is_stale(net::NodeId id) const;
-  /// Same staleness predicate evaluated at an explicit time instead of the
-  /// simulator clock (the sharded quiet path runs ahead of the clock).
-  [[nodiscard]] bool neighbor_stale_at(net::NodeId id, sim::SimTime now) const;
 
   net::NodeId id_;
   geometry::Vec2 pos_;
@@ -180,7 +155,7 @@ class SensorNode {
   // Lower bound on min(heard_at) over known_robots_ (+inf when empty).
   // Entries only get fresher between scans, so while floor + window >= now
   // nothing can have expired and age_robot_knowledge() may skip its scan
-  // entirely (the spatial_index batched-aging fast path).
+  // entirely (batched aging).
   sim::SimTime robots_heard_floor_ = sim::kNever;
   std::unordered_map<net::NodeId, std::uint32_t> relayed_seq_;
   // Neighborhood-watch dedup: the neighbor's last-beacon timestamp at the

@@ -29,6 +29,9 @@ using geometry::Vec2;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/// Spatial-index bounds for the media under test.
+constexpr geometry::Rect kArea = geometry::Rect::sized(200.0, 200.0);
+
 // ---------------------------------------------------------------------------
 // ChaosConfig validation (satellite: reject malformed knobs at construction)
 
@@ -91,20 +94,20 @@ TEST(RadioConfigTest, MediumConstructionValidates) {
   metrics::TransmissionCounters counters;
   net::RadioConfig bad;
   bad.bitrate_bps = 0.0;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
                std::invalid_argument);
   bad.bitrate_bps = 11e6;
   bad.loss_probability = kNaN;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
                std::invalid_argument);
   bad.loss_probability = 0.0;
   bad.unicast_retries = -1;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
                std::invalid_argument);
   bad.unicast_retries = 3;
   bad.chaos.burst.enabled = true;
   bad.chaos.burst.p_enter_bad = -1.0;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
                std::invalid_argument);
 }
 
@@ -195,7 +198,7 @@ net::Packet beacon(net::NodeId src) {
 TEST(MediumChaosTest, DefaultMediumHasNoChaosModel) {
   sim::Simulator sim;
   metrics::TransmissionCounters counters;
-  net::Medium medium(sim, sim::Rng(1), net::RadioConfig{}, counters, 50.0);
+  net::Medium medium(sim, sim::Rng(1), net::RadioConfig{}, counters, kArea, 50.0);
   EXPECT_FALSE(medium.chaos_active());
 }
 
@@ -205,7 +208,7 @@ TEST(MediumChaosTest, DuplicationDeliversTwiceButCountsOneTransmission) {
   net::RadioConfig cfg;
   cfg.chaos.duplication.enabled = true;
   cfg.chaos.duplication.probability = 1.0;
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
   EXPECT_TRUE(medium.chaos_active());
 
   Rx rx;
@@ -226,7 +229,7 @@ TEST(MediumChaosTest, GlobalPartitionJamsSenderButStillCountsTheTransmission) {
   w.start_s = 0.0;
   w.end_s = 10.0;
   cfg.chaos.partitions.push_back(w);
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
 
   Rx rx;
   medium.attach(1, {0, 0}, 50.0, {});
@@ -257,7 +260,7 @@ TEST(MediumChaosTest, ZonedPartitionJamsOnlyNodesInsideTheRect) {
   w.zone_min = {20, -10};
   w.zone_max = {40, 10};  // covers node 2, not nodes 1 and 3
   cfg.chaos.partitions.push_back(w);
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
 
   Rx in_zone, out_zone;
   medium.attach(1, {0, 0}, 50.0, {});
@@ -277,7 +280,7 @@ TEST(MediumChaosTest, UnicastIntoJamBurnsAllAttemptsAndFails) {
   w.start_s = 0.0;
   w.end_s = 10.0;
   cfg.chaos.partitions.push_back(w);
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
 
   Rx rx;
   medium.attach(1, {0, 0}, 50.0, {});
@@ -299,7 +302,7 @@ TEST(MediumChaosTest, BurstLossDropsBroadcastReceptions) {
   cfg.chaos.burst.p_enter_bad = 1.0;  // permanently bad from the first draw
   cfg.chaos.burst.p_exit_bad = 0.0;
   cfg.chaos.burst.loss_bad = 1.0;
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
 
   Rx rx;
   medium.attach(1, {0, 0}, 50.0, {});

@@ -10,7 +10,6 @@
 #include "geometry/polygon.hpp"
 #include "geometry/rect.hpp"
 #include "geometry/segment.hpp"
-#include "geometry/spatial_hash.hpp"
 #include "geometry/vec2.hpp"
 #include "geometry/voronoi.hpp"
 #include "sim/rng.hpp"
@@ -329,87 +328,6 @@ TEST(HexPartitionTest, CellOfIsNearestCenter) {
   const HexPartition p(Rect::sized(400, 400), 4);
   for (std::size_t i = 0; i < p.size(); ++i) {
     EXPECT_EQ(p.cell_of(p.center(i)), i);
-  }
-}
-
-// --- SpatialHash --------------------------------------------------------------------
-
-TEST(SpatialHashTest, InsertAndQuery) {
-  SpatialHash h(50.0);
-  h.upsert(1, {10, 10});
-  h.upsert(2, {40, 10});
-  h.upsert(3, {300, 300});
-  const auto near = h.query_ball({10, 10}, 50.0);
-  EXPECT_EQ(near, (std::vector<std::uint32_t>{1, 2}));
-}
-
-TEST(SpatialHashTest, QueryIsClosedBall) {
-  SpatialHash h(10.0);
-  h.upsert(1, {0, 0});
-  h.upsert(2, {10, 0});
-  EXPECT_EQ(h.query_ball({0, 0}, 10.0).size(), 2u);
-  EXPECT_EQ(h.query_ball({0, 0}, 9.999).size(), 1u);
-}
-
-TEST(SpatialHashTest, MoveUpdatesBuckets) {
-  SpatialHash h(20.0);
-  h.upsert(7, {0, 0});
-  h.upsert(7, {500, 500});
-  EXPECT_TRUE(h.query_ball({0, 0}, 50).empty());
-  EXPECT_EQ(h.query_ball({500, 500}, 1).size(), 1u);
-  EXPECT_EQ(h.position(7), (Vec2{500, 500}));
-}
-
-TEST(SpatialHashTest, EraseRemoves) {
-  SpatialHash h(20.0);
-  h.upsert(1, {5, 5});
-  h.erase(1);
-  EXPECT_FALSE(h.contains(1));
-  EXPECT_TRUE(h.query_ball({5, 5}, 100).empty());
-  h.erase(1);  // no-op
-}
-
-TEST(SpatialHashTest, NearestExcludesSelf) {
-  SpatialHash h(20.0);
-  h.upsert(1, {0, 0});
-  h.upsert(2, {10, 0});
-  h.upsert(3, {100, 0});
-  std::uint32_t out = 0;
-  ASSERT_TRUE(h.nearest({0, 0}, 1, out));
-  EXPECT_EQ(out, 2u);
-}
-
-TEST(SpatialHashTest, NearestFailsWhenOnlySelf) {
-  SpatialHash h(20.0);
-  h.upsert(1, {0, 0});
-  std::uint32_t out = 0;
-  EXPECT_FALSE(h.nearest({0, 0}, 1, out));
-}
-
-TEST(SpatialHashTest, NegativeCoordinatesWork) {
-  SpatialHash h(25.0);
-  h.upsert(1, {-100, -100});
-  h.upsert(2, {-110, -90});
-  EXPECT_EQ(h.query_ball({-100, -100}, 30).size(), 2u);
-}
-
-TEST(SpatialHashTest, MatchesBruteForceOnRandomData) {
-  sim::Rng rng(555);
-  SpatialHash h(63.0);
-  std::vector<Vec2> pts;
-  for (std::uint32_t i = 0; i < 300; ++i) {
-    const Vec2 p{rng.uniform(0, 500), rng.uniform(0, 500)};
-    pts.push_back(p);
-    h.upsert(i, p);
-  }
-  for (int t = 0; t < 50; ++t) {
-    const Vec2 q{rng.uniform(0, 500), rng.uniform(0, 500)};
-    const double radius = rng.uniform(10, 120);
-    std::vector<std::uint32_t> brute;
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      if (distance(pts[i], q) <= radius) brute.push_back(i);
-    }
-    EXPECT_EQ(h.query_ball(q, radius), brute);
   }
 }
 

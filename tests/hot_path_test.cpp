@@ -1,29 +1,31 @@
-// Differential equivalence suite for the data-oriented hot path.
-//
-// PR 8 restructures the simulation hot loop — pooled event storage in the
-// EventQueue, SoA mirrors of per-tick-scanned state, a flat dense transceiver
-// table — purely for speed: none of it may change behavior. This file proves
-// that three ways, mirroring how spatial_test.cpp proved the grid:
+// Equivalence suite for the data-oriented hot path: the pooled EventQueue
+// (slab-allocated slots, 4-ary structure-of-arrays heap, lazy cancellation).
+// It is checked two ways:
 //
 //  1. a randomized differential property suite driving identical
-//     schedule/cancel/pop sequences through the pooled queue and the legacy
-//     (map + std::function) queue, requiring identical pop order and
-//     timestamps (run under ASAN in CI, where any slot-lifetime slip —
-//     double destroy, stale generation, inline-buffer overrun — faults);
+//     schedule/cancel/pop sequences through the pooled queue and a small
+//     std::priority_queue (time, seq) reference, requiring identical pop
+//     order and timestamps (run under ASAN in CI, where any slot-lifetime
+//     slip — double destroy, stale generation, inline-buffer overrun —
+//     faults);
 //  2. unit tests of the pool's own contract: inline vs boxed storage,
 //     capture destruction timing, slot reuse generations;
-//  3. end-to-end: full simulations with the data-oriented path on and off
-//     must produce bit-identical results for all three algorithms, with and
-//     without robot fault/repair chaos, and stay byte-identical across
-//     runner worker counts (run under TSAN in CI).
+//
+// and simulations stay byte-identical across runner worker counts (run
+// under TSAN in CI).
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/simulation.hpp"
@@ -36,14 +38,6 @@ namespace sensrep::sim {
 namespace {
 
 // --- pool contract -----------------------------------------------------------
-
-TEST(EventPool, LegacyModeOnlySwitchableBeforeFirstSchedule) {
-  EventQueue q;
-  q.set_legacy(true);
-  q.set_legacy(false);  // still untouched: fine either way
-  q.schedule(1.0, [] {});
-  EXPECT_THROW(q.set_legacy(true), std::logic_error);
-}
 
 TEST(EventPool, OversizedCallableFallsBackToBoxedStorage) {
   EventQueue q;
@@ -100,25 +94,69 @@ TEST(EventPool, SlotsAreReusedNotAccumulated) {
   EXPECT_LE(q.pool_slots(), 256u);
 }
 
-// --- differential property suite: pooled vs legacy ---------------------------
+// --- differential property suite: pooled vs reference -----------------------
+
+/// The queue's ordering contract and nothing else: events pop in (time,
+/// schedule order); cancel succeeds once, for a pending event only.
+class ReferenceQueue {
+ public:
+  std::uint64_t schedule(double t, int tag) {
+    const std::uint64_t seq = next_seq_++;
+    heap_.push({t, seq, tag});
+    live_.insert(seq);
+    return seq;
+  }
+  bool cancel(std::uint64_t seq) { return live_.erase(seq) != 0; }
+  [[nodiscard]] bool empty() const { return live_.empty(); }
+  [[nodiscard]] std::size_t size() const { return live_.size(); }
+  double next_time() {
+    skim();
+    return heap_.top().time;
+  }
+  /// Pops the earliest live event: (time, tag).
+  std::pair<double, int> pop() {
+    skim();
+    const Entry e = heap_.top();
+    heap_.pop();
+    live_.erase(e.seq);
+    return {e.time, e.tag};
+  }
+
+ private:
+  struct Entry {
+    double time;
+    std::uint64_t seq;
+    int tag;
+    bool operator>(const Entry& o) const {
+      return time != o.time ? time > o.time : seq > o.seq;
+    }
+  };
+  void skim() {
+    while (!live_.contains(heap_.top().seq)) heap_.pop();
+  }
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::set<std::uint64_t> live_;
+  std::uint64_t next_seq_ = 0;
+};
 
 // Both queues receive the same operation sequence; every popped event must
 // surface in the same order, at the same timestamp, running the same payload.
-TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesLegacyExactly) {
+TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesReferenceExactly) {
   Rng rng(20260808);
   for (int round = 0; round < 50; ++round) {
     EventQueue pooled;
-    EventQueue legacy;
-    legacy.set_legacy(true);
-    ASSERT_TRUE(legacy.legacy());
-    ASSERT_FALSE(pooled.legacy());
+    ReferenceQueue reference;
 
     std::vector<int> pooled_log;
-    std::vector<int> legacy_log;
+    std::vector<int> reference_log;
     // Pending events by payload tag, so cancels hit the same logical event
-    // in both queues even though their EventId encodings differ.
-    std::vector<std::array<EventId, 2>> pending;
-    std::vector<int> pending_tag;
+    // in both queues.
+    struct Pending {
+      EventId id;
+      std::uint64_t ref;
+      int tag;
+    };
+    std::vector<Pending> pending;
     int next_tag = 0;
 
     for (int op = 0; op < 600; ++op) {
@@ -127,132 +165,46 @@ TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesLegacyExactly) {
         const double t = rng.uniform01() * 100.0;
         const int tag = next_tag++;
         const EventId a = pooled.schedule(t, [&pooled_log, tag] { pooled_log.push_back(tag); });
-        const EventId b = legacy.schedule(t, [&legacy_log, tag] { legacy_log.push_back(tag); });
-        pending.push_back({a, b});
-        pending_tag.push_back(tag);
+        pending.push_back({a, reference.schedule(t, tag), tag});
       } else if (roll < 0.75) {
         const std::size_t pick = rng.below(pending.size());
-        EXPECT_EQ(pooled.cancel(pending[pick][0]), legacy.cancel(pending[pick][1]));
+        EXPECT_EQ(pooled.cancel(pending[pick].id), reference.cancel(pending[pick].ref));
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
-        pending_tag.erase(pending_tag.begin() + static_cast<std::ptrdiff_t>(pick));
       } else {
-        ASSERT_EQ(pooled.empty(), legacy.empty());
+        ASSERT_EQ(pooled.empty(), reference.empty());
         if (pooled.empty()) continue;
-        ASSERT_DOUBLE_EQ(pooled.next_time(), legacy.next_time());
+        ASSERT_DOUBLE_EQ(pooled.next_time(), reference.next_time());
         auto pa = pooled.pop();
-        auto pb = legacy.pop();
-        ASSERT_DOUBLE_EQ(pa.time, pb.time);
+        const auto [time, tag] = reference.pop();
+        ASSERT_DOUBLE_EQ(pa.time, time);
         pa.callback();
-        pb.callback();
+        reference_log.push_back(tag);
         ASSERT_FALSE(pooled_log.empty());
-        ASSERT_EQ(pooled_log.back(), legacy_log.back());
-        // Drop the popped tag from the pending set.
-        for (std::size_t i = 0; i < pending_tag.size(); ++i) {
-          if (pending_tag[i] != pooled_log.back()) continue;
-          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-          pending_tag.erase(pending_tag.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
+        ASSERT_EQ(pooled_log.back(), tag);
+        std::erase_if(pending, [tag](const Pending& p) { return p.tag == tag; });
       }
-      ASSERT_EQ(pooled.size(), legacy.size()) << "round " << round << " op " << op;
+      ASSERT_EQ(pooled.size(), reference.size()) << "round " << round << " op " << op;
     }
 
     // Drain both queues; the tails must match one-for-one, and with no more
     // schedules interleaved the drain must be nondecreasing in time.
     double last = -1.0;
     while (!pooled.empty()) {
-      ASSERT_FALSE(legacy.empty());
-      ASSERT_DOUBLE_EQ(pooled.next_time(), legacy.next_time());
+      ASSERT_FALSE(reference.empty());
+      ASSERT_DOUBLE_EQ(pooled.next_time(), reference.next_time());
       EXPECT_GE(pooled.next_time(), last);
       last = pooled.next_time();
       pooled.pop().callback();
-      legacy.pop().callback();
+      reference_log.push_back(reference.pop().second);
     }
-    EXPECT_TRUE(legacy.empty());
-    EXPECT_EQ(pooled_log, legacy_log) << "round " << round;
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(pooled_log, reference_log) << "round " << round;
   }
 }
 
-// --- end to end: the data-oriented path must change nothing but speed --------
-
-core::ExperimentResult run_mode(bool data_oriented, core::Algorithm algo, bool chaos) {
-  core::SimulationConfig cfg;
-  cfg.algorithm = algo;
-  cfg.robots = 4;
-  cfg.seed = 2026;
-  cfg.sim_duration = chaos ? 4000.0 : 8000.0;
-  cfg.field.data_oriented = data_oriented;
-  if (chaos) {
-    // Deaths, MTTR resurrections, auto-tuned leases, and packet loss: the
-    // cancel/reschedule churn that stresses heap compaction, plus every
-    // SoA-mirrored read path (supervision sweeps, idle homes, failover
-    // nearest-robot picks) runs several times.
-    cfg.robot_faults.mtbf = 1200.0;
-    cfg.robot_faults.mttr = 600.0;
-    cfg.robot_faults.heartbeat_period = 40.0;
-    cfg.robot_faults.lease_auto_tune = true;
-    cfg.radio.loss_probability = 0.05;
-  }
-  core::Simulation s(cfg);
-  s.run();
-  return s.result();
-}
-
-void expect_identical(const core::ExperimentResult& a, const core::ExperimentResult& b) {
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.reported, b.reported);
-  EXPECT_EQ(a.repaired, b.repaired);
-  EXPECT_EQ(a.unreported, b.unreported);
-  EXPECT_EQ(a.router_drops, b.router_drops);
-  // Bitwise, not NEAR: the SoA mirrors hold the same doubles the AoS state
-  // holds, and the pooled queue preserves (time, seq) pop order exactly;
-  // any ULP of drift is a bug.
-  EXPECT_EQ(a.avg_travel_per_repair, b.avg_travel_per_repair);
-  EXPECT_EQ(a.avg_report_hops, b.avg_report_hops);
-  EXPECT_EQ(a.avg_request_hops, b.avg_request_hops);
-  EXPECT_EQ(a.location_update_tx_per_repair, b.location_update_tx_per_repair);
-  EXPECT_EQ(a.avg_detection_latency, b.avg_detection_latency);
-  EXPECT_EQ(a.avg_repair_latency, b.avg_repair_latency);
-  EXPECT_EQ(a.p95_repair_latency, b.p95_repair_latency);
-  EXPECT_EQ(a.total_robot_distance, b.total_robot_distance);
-  EXPECT_EQ(a.motion_energy_j, b.motion_energy_j);
-  EXPECT_EQ(a.robot_failures, b.robot_failures);
-  EXPECT_EQ(a.tasks_lost, b.tasks_lost);
-  EXPECT_EQ(a.redispatches, b.redispatches);
-  EXPECT_EQ(a.failover_events, b.failover_events);
-  EXPECT_EQ(a.adoptions, b.adoptions);
-  EXPECT_EQ(a.robot_repairs, b.robot_repairs);
-  EXPECT_EQ(a.elections, b.elections);
-  EXPECT_EQ(a.handbacks, b.handbacks);
-  EXPECT_EQ(a.ownership_transfers, b.ownership_transfers);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-}
-
-class HotPathEquivalence : public ::testing::TestWithParam<core::Algorithm> {};
-
-TEST_P(HotPathEquivalence, DefaultRunIsBitIdenticalWithDataOrientedOnAndOff) {
-  expect_identical(run_mode(true, GetParam(), /*chaos=*/false),
-                   run_mode(false, GetParam(), /*chaos=*/false));
-}
-
-TEST_P(HotPathEquivalence, FaultChaosRunIsBitIdenticalWithDataOrientedOnAndOff) {
-  expect_identical(run_mode(true, GetParam(), /*chaos=*/true),
-                   run_mode(false, GetParam(), /*chaos=*/true));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, HotPathEquivalence,
-                         ::testing::Values(core::Algorithm::kCentralized,
-                                           core::Algorithm::kFixedDistributed,
-                                           core::Algorithm::kDynamicDistributed),
-                         [](const ::testing::TestParamInfo<core::Algorithm>& tpi) {
-                           return std::string(core::to_string(tpi.param));
-                         });
-
-// With the data-oriented path on (the default), the parallel runner must keep
-// its byte-identical-across-worker-counts guarantee: the event pool and the
-// SoA mirrors are per-simulation state, so workers must never share them.
-// TSAN runs this in CI.
+// The parallel runner must keep its byte-identical-across-worker-counts
+// guarantee: the event pool and the SoA mirrors are per-simulation state, so
+// workers must never share them. TSAN runs this in CI.
 TEST(HotPathRunnerDeterminism, CsvIsByteIdenticalAcrossWorkerCountsWithPooledQueue) {
   runner::ParameterGrid grid;
   grid.algorithms = {core::Algorithm::kCentralized, core::Algorithm::kFixedDistributed,
@@ -260,7 +212,6 @@ TEST(HotPathRunnerDeterminism, CsvIsByteIdenticalAcrossWorkerCountsWithPooledQue
   grid.robot_counts = {4};
   grid.seeds = 2;
   grid.base.sim_duration = 800.0;
-  grid.base.field.data_oriented = true;
   grid.base.robot_faults.mtbf = 400.0;  // cancel/reschedule churn in every job
   grid.base.robot_faults.mttr = 200.0;
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
+#include "brute_reference.hpp"
 #include "metrics/counters.hpp"
 #include "net/medium.hpp"
 #include "net/packet.hpp"
@@ -14,8 +17,12 @@
 namespace sensrep::net {
 namespace {
 
+using geometry::Rect;
 using geometry::Vec2;
 using metrics::MessageCategory;
+
+/// Spatial-index bounds for the media under test (nodes may lie outside).
+constexpr geometry::Rect kArea = geometry::Rect::sized(200.0, 200.0);
 
 struct Rx {
   std::vector<std::pair<Packet, NodeId>> got;
@@ -26,7 +33,7 @@ struct Rx {
 
 class MediumTest : public ::testing::Test {
  protected:
-  MediumTest() : medium_(sim_, sim::Rng(1), RadioConfig{}, counters_, 50.0) {}
+  MediumTest() : medium_(sim_, sim::Rng(1), RadioConfig{}, counters_, kArea, 50.0) {}
 
   Packet beacon(NodeId src) {
     Packet p;
@@ -221,7 +228,7 @@ TEST_F(MediumTest, SerializationDelayGrowsWithPacketSize) {
   RadioConfig cfg;
   cfg.max_backoff_s = 0.0;
   cfg.propagation_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   std::vector<double> arrival;
   medium.attach(2, {10, 0}, 50.0,
@@ -245,6 +252,65 @@ TEST_F(MediumTest, SerializationDelayGrowsWithPacketSize) {
   EXPECT_GT(big_delay, small_delay);
 }
 
+// Nodes attached or moved outside the spatial index's bounds — including at
+// negative coordinates — are clamped into its border cells. Every query must
+// still select exactly what a brute d^2 <= r^2 scan over the true positions
+// selects, in ascending id order.
+TEST(MediumIndexTest, OutOfFieldNodesAreReachedExactly) {
+  sim::Simulator sim;
+  metrics::TransmissionCounters counters;
+  RadioConfig cfg;
+  cfg.max_backoff_s = 0.0;
+  Medium medium(sim, sim::Rng(1), cfg, counters, Rect{{0.0, 0.0}, {100.0, 100.0}}, 25.0);
+  sim::Rng rng(77);
+  const auto anywhere = [&rng] { return Vec2{rng.uniform(-300, 400), rng.uniform(-300, 400)}; };
+
+  std::map<NodeId, Vec2> pos;
+  std::vector<NodeId> heard;  // receivers of the current frame, in delivery order
+  for (NodeId id = 0; id < 60; ++id) {
+    pos[id] = anywhere();
+    medium.attach(id, pos[id], rng.uniform(10, 150),
+                  [&heard, id](const Packet&, NodeId) { heard.push_back(id); });
+  }
+  const auto alive_brute = [&] {
+    reference::BruteIndex<NodeId> b;
+    for (const auto& [id, p] : pos) {
+      if (medium.alive(id)) b.pts.emplace_back(id, p);
+    }
+    return b;
+  };
+
+  Packet pkt;
+  pkt.type = PacketType::kBeacon;
+  pkt.dst = kBroadcastId;
+  for (int round = 0; round < 20; ++round) {
+    // Move a third of the nodes anywhere, and toggle a few alive bits.
+    for (NodeId id = 0; id < 60; ++id) {
+      if (rng.chance(1.0 / 3.0)) {
+        pos[id] = anywhere();
+        medium.set_position(id, pos[id]);
+      }
+      if (rng.chance(0.1)) medium.set_alive(id, !medium.alive(id));
+    }
+    const auto brute = alive_brute();
+    for (const auto& [sender, p] : pos) {
+      if (!medium.alive(sender)) continue;
+      auto want = brute.within_radius(p, medium.tx_range_of(sender));
+      std::erase(want, sender);
+      EXPECT_EQ(medium.neighbors_of(sender), want) << "sender " << sender;
+      heard.clear();
+      medium.broadcast(sender, pkt);
+      sim.run_all();
+      EXPECT_EQ(heard, want) << "sender " << sender;
+    }
+    for (int k = 0; k < 10; ++k) {
+      const Vec2 q = anywhere();
+      const double r = rng.uniform(0, 200);
+      EXPECT_EQ(medium.nodes_near(q, r), brute.within_radius(q, r));
+    }
+  }
+}
+
 // --- Loss model ---------------------------------------------------------------
 
 TEST(MediumLossTest, UnicastArqRetriesUntilSuccess) {
@@ -253,7 +319,7 @@ TEST(MediumLossTest, UnicastArqRetriesUntilSuccess) {
   RadioConfig cfg;
   cfg.loss_probability = 0.5;
   cfg.unicast_retries = 10;
-  Medium medium(sim, sim::Rng(3), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(3), cfg, counters, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {10, 0}, 50.0, [&](const Packet&, NodeId) { ++delivered; });
@@ -277,7 +343,7 @@ TEST(MediumLossTest, BroadcastLosesSomeReceivers) {
   metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.loss_probability = 0.4;
-  Medium medium(sim, sim::Rng(9), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(9), cfg, counters, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   int delivered = 0;
   for (NodeId n = 2; n < 42; ++n) {
@@ -302,7 +368,7 @@ TEST(MediumLossTest, UnicastCountsOneTransmissionPerAttempt) {
   RadioConfig cfg;
   cfg.loss_probability = 1.0;  // every attempt lost
   cfg.unicast_retries = 4;
-  Medium medium(sim, sim::Rng(3), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(3), cfg, counters, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   int delivered = 0;
   medium.attach(2, {10, 0}, 50.0, [&](const Packet&, NodeId) { ++delivered; });
@@ -321,7 +387,7 @@ TEST(MediumLossTest, LosslessUnreachableUnicastFailsAfterOneTransmission) {
   metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.unicast_retries = 7;  // must NOT be burned: retrying is futile at loss=0
-  Medium medium(sim, sim::Rng(3), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(3), cfg, counters, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {200, 0}, 50.0, {});  // out of range
   Packet p;
@@ -339,7 +405,7 @@ TEST(MediumCollisionTest, OverlappingBroadcastsCorruptEachOther) {
   RadioConfig cfg;
   cfg.model_collisions = true;
   cfg.max_backoff_s = 0.0;  // no jitter: frames overlap deterministically
-  Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});
@@ -361,7 +427,7 @@ TEST(MediumCollisionTest, SeparatedBroadcastsBothArrive) {
   RadioConfig cfg;
   cfg.model_collisions = true;
   cfg.max_backoff_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});
@@ -385,7 +451,7 @@ TEST(MediumCollisionTest, BackoffJitterMostlySeparatesContenders) {
   metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.model_collisions = true;
-  Medium medium(sim, sim::Rng(5), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(5), cfg, counters, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});
@@ -409,7 +475,7 @@ TEST(MediumCollisionTest, UnicastsAreProtected) {
   RadioConfig cfg;
   cfg.model_collisions = true;
   cfg.max_backoff_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});

@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "brute_reference.hpp"
 #include "core/coordination.hpp"
 #include "core/simulation.hpp"
 #include "metrics/counters.hpp"
@@ -82,7 +84,8 @@ INSTANTIATE_TEST_SUITE_P(
 // robots excluded, nullptr when the whole fleet is presumed dead — and a
 // robot repaired mid-simulation is eligible again the instant its rejoin
 // runs, not at the next supervision sweep. Pinned for both the uniform-grid
-// index and the brute-force scan, which must agree bit for bit.
+// index and the brute-force reference scan over the same fleet state
+// (tests/brute_reference.hpp), which must agree bit for bit.
 
 /// Minimal concrete algorithm exposing the protected selection/lease layer.
 class ProbeAlgorithm final : public CoordinationAlgorithm {
@@ -103,10 +106,11 @@ class ProbeAlgorithm final : public CoordinationAlgorithm {
 
 class ClosestLiveRobot : public ::testing::TestWithParam<bool> {
  protected:
-  ClosestLiveRobot() : medium_(sim_, sim::Rng(3), net::RadioConfig{}, counters_, 63.0) {
+  ClosestLiveRobot()
+      : medium_(sim_, sim::Rng(3), net::RadioConfig{}, counters_,
+                geometry::Rect::sized(400.0, 400.0), 63.0) {
     cfg_.robots = 4;
     cfg_.sensors_per_robot = 0;  // robot ids start at 0; no sensor traffic
-    cfg_.field.spatial_index = GetParam();
     cfg_.robot_faults.mtbf = 1.0e12;  // enables the lease machinery; no injector
     wsn::FieldConfig fc;
     fc.spontaneous_failures = false;
@@ -126,6 +130,28 @@ class ClosestLiveRobot : public ::testing::TestWithParam<bool> {
     const auto id = static_cast<net::NodeId>(robots_.size());
     robots_.push_back(std::make_unique<robot::RobotNode>(
         id, pos, robot::RobotNode::Config{}, sim_, medium_, *field_, probe_));
+  }
+
+  /// The selection under test: the grid-backed algorithm query, or the
+  /// brute-force reference over the same positions and lease beliefs.
+  robot::RobotNode* closest_live_robot(geometry::Vec2 pos) {
+    if (GetParam()) return probe_.closest_live_robot(pos);
+    const auto best = fleet().nearest_euclid(
+        pos, [this](std::size_t i) { return !probe_.presumed_dead(i); });
+    return best ? robots_[*best].get() : nullptr;
+  }
+
+  std::optional<std::size_t> nearest_robot_index(geometry::Vec2 pos) {
+    if (GetParam()) return probe_.nearest_robot_index(pos);
+    return fleet().nearest_d2(pos, [](std::size_t) { return true; });
+  }
+
+  [[nodiscard]] reference::BruteIndex<std::size_t> fleet() const {
+    reference::BruteIndex<std::size_t> out;
+    for (std::size_t i = 0; i < robots_.size(); ++i) {
+      out.pts.emplace_back(i, robots_[i]->position());
+    }
+    return out;
   }
 
   /// Keeps every robot except those in `expire` alive by refreshing their
@@ -152,13 +178,13 @@ class ClosestLiveRobot : public ::testing::TestWithParam<bool> {
 
 TEST_P(ClosestLiveRobot, ExactDistanceTieGoesToTheLowestId) {
   // d((0,0), robot 0) == d((0,0), robot 1) == 50 exactly.
-  auto* best = probe_.closest_live_robot({0.0, 0.0});
+  auto* best = closest_live_robot({0.0, 0.0});
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->id(), 0u);
   // From the far corner the tie partners lose and 3 beats 2.
-  EXPECT_EQ(probe_.closest_live_robot({400.0, 400.0})->id(), 3u);
+  EXPECT_EQ(closest_live_robot({400.0, 400.0})->id(), 3u);
   // nearest_robot_index shares the rule (squared-distance key).
-  EXPECT_EQ(probe_.nearest_robot_index({0.0, 0.0}).value(), 0u);
+  EXPECT_EQ(nearest_robot_index({0.0, 0.0}).value(), 0u);
 }
 
 TEST_P(ClosestLiveRobot, PresumedDeadRobotsAreExcluded) {
@@ -168,26 +194,26 @@ TEST_P(ClosestLiveRobot, PresumedDeadRobotsAreExcluded) {
   ASSERT_TRUE(probe_.presumed_dead(0));
   ASSERT_FALSE(probe_.presumed_dead(1));
   // The tie partner (higher id) now wins at the origin.
-  EXPECT_EQ(probe_.closest_live_robot({0.0, 0.0})->id(), 1u);
+  EXPECT_EQ(closest_live_robot({0.0, 0.0})->id(), 1u);
   // The init-sweep rule deliberately ignores liveness: still robot 0.
-  EXPECT_EQ(probe_.nearest_robot_index({0.0, 0.0}).value(), 0u);
+  EXPECT_EQ(nearest_robot_index({0.0, 0.0}).value(), 0u);
 }
 
 TEST_P(ClosestLiveRobot, AllDeadFleetYieldsNullptr) {
   probe_.start_fault_tolerance();
   sim_.run_until(250.0);  // nobody refreshes: the whole fleet expires
   for (std::size_t i = 0; i < 4; ++i) ASSERT_TRUE(probe_.presumed_dead(i));
-  EXPECT_EQ(probe_.closest_live_robot({0.0, 0.0}), nullptr);
+  EXPECT_EQ(closest_live_robot({0.0, 0.0}), nullptr);
 }
 
 TEST_P(ClosestLiveRobot, RevivedRobotIsEligibleAgainTheSameTick) {
   probe_.start_fault_tolerance();
   sim_.run_until(250.0);
-  ASSERT_EQ(probe_.closest_live_robot({0.0, 0.0}), nullptr);
+  ASSERT_EQ(closest_live_robot({0.0, 0.0}), nullptr);
   // Repair lands between sweeps: eligibility must not wait for the next one.
   probe_.on_robot_repaired(*robots_[1]);
   EXPECT_FALSE(probe_.presumed_dead(1));
-  auto* best = probe_.closest_live_robot({0.0, 0.0});
+  auto* best = closest_live_robot({0.0, 0.0});
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->id(), 1u);
 }
@@ -203,7 +229,7 @@ TEST_P(ClosestLiveRobot, SupervisionKeepsWatchingARevivedRobot) {
   ASSERT_FALSE(probe_.presumed_dead(1));
   sim_.run_until(500.0);  // lease from 250 s, window 180 s: expires by 480 s
   EXPECT_TRUE(probe_.presumed_dead(1));
-  EXPECT_EQ(probe_.closest_live_robot({0.0, 0.0}), nullptr);
+  EXPECT_EQ(closest_live_robot({0.0, 0.0}), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(GridAndBrute, ClosestLiveRobot, ::testing::Bool(),

@@ -103,7 +103,9 @@ class NullSensorPolicy : public wsn::SensorPolicy {
 
 class RobotFixture : public ::testing::Test {
  protected:
-  RobotFixture() : medium_(sim_, sim::Rng(3), net::RadioConfig{}, counters_, 63.0) {
+  RobotFixture()
+      : medium_(sim_, sim::Rng(3), net::RadioConfig{}, counters_,
+                geometry::Rect::sized(200.0, 200.0), 63.0) {
     wsn::FieldConfig fc;
     fc.spontaneous_failures = false;
     field_ = std::make_unique<wsn::SensorField>(sim_, medium_, sensor_policy_, log_, fc,

@@ -187,7 +187,9 @@ TEST(FaceRoutingTest, FaceChangeDetectedOnlyWithProgress) {
 class RoutingHarness {
  public:
   explicit RoutingHarness(double range = 15.0)
-      : medium_(sim_, sim::Rng(5), net::RadioConfig{}, counters_, range), range_(range) {}
+      : medium_(sim_, sim::Rng(5), net::RadioConfig{}, counters_,
+                geometry::Rect::sized(100.0, 100.0), range),
+        range_(range) {}
 
   void add_node(NodeId id, Vec2 pos) {
     auto state = std::make_unique<NodeState>();

@@ -284,32 +284,6 @@ TEST(ExecutorDeterminismTest, CsvIsByteIdenticalWithRobotFaultsAndRepairs) {
   EXPECT_EQ(serial, parallel);
 }
 
-// And with spatially sharded cells: every job spins up its own tile-worker
-// pool inside an executor worker, so this doubles as a nested-thread-pool
-// determinism check — the CSV must not care how either layer schedules.
-TEST(ExecutorDeterminismTest, CsvIsByteIdenticalAcrossWorkerCountsWithShardedCells) {
-  auto grid = small_grid();
-  grid.base.field.shards = 4;
-  grid.base.robot_faults.mtbf = 1200.0;  // tick disarm/revival churn per cell
-  grid.base.robot_faults.mttr = 300.0;
-
-  const auto run_with = [&grid](std::size_t workers) {
-    std::ostringstream out;
-    runner::CsvSink sink(out);
-    runner::ExecutorOptions options;
-    options.jobs = workers;
-    runner::Executor exec(options);
-    const auto batch = exec.run(grid, &sink);
-    EXPECT_TRUE(batch.ok());
-    return out.str();
-  };
-
-  const std::string serial = run_with(1);
-  const std::string parallel = run_with(4);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
-}
-
 TEST(ExecutorDeterminismTest, ResultsMatchDirectSimulationRuns) {
   const auto grid = small_grid();
   const auto jobs = grid.expand();

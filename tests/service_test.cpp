@@ -505,6 +505,36 @@ TEST(Snapshot, RestoreVerifiesTheDigestAndThrowsOnMismatch) {
   EXPECT_THROW({ service::Daemon restored(snap); }, std::runtime_error);
 }
 
+TEST(Snapshot, ShardCountLineIsAcceptedAndIgnored) {
+  service::reset_shutdown();
+  service::Daemon daemon(daemon_options(core::Algorithm::kDynamicDistributed));
+  daemon.handle_line("fail 5");
+  daemon.handle_line("advance 300");
+  std::stringstream text;
+  daemon.make_snapshot().write(text);
+  const std::string plain = text.str();
+  EXPECT_EQ(plain.find("shards"), std::string::npos);
+
+  // Older snapshots may carry the shard count of a parallel schedule that
+  // replayed the same state at any count; it restores to the same digest.
+  const auto at = plain.find("telemetry-period ");
+  ASSERT_NE(at, std::string::npos);
+  std::string sharded = plain;
+  sharded.insert(at, "shards 4\n");
+  std::istringstream plain_in(plain);
+  std::istringstream sharded_in(sharded);
+  const service::Daemon from_plain(service::Snapshot::read(plain_in));
+  const service::Daemon from_sharded(service::Snapshot::read(sharded_in));
+  EXPECT_EQ(from_sharded.status_line(), from_plain.status_line());
+  EXPECT_EQ(from_sharded.status_line(), daemon.status_line());
+
+  // A zero shard count was never valid.
+  std::string zero = plain;
+  zero.insert(at, "shards 0\n");
+  std::istringstream zero_in(zero);
+  EXPECT_THROW(service::Snapshot::read(zero_in), std::runtime_error);
+}
+
 // --- the kill-and-restore differential --------------------------------------
 
 class RestoreDifferential : public ::testing::TestWithParam<core::Algorithm> {};

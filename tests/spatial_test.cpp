@@ -2,19 +2,20 @@
 //
 // The UniformGrid2D exists to make proximity queries cheap, not to change
 // behavior: every grid-backed answer must be *identical* — not merely close —
-// to the brute-force scan it replaces, including floating-point tie-breaking.
-// This file proves that three ways:
+// to a brute-force scan (tests/brute_reference.hpp), including
+// floating-point tie-breaking. This file proves that three ways:
 //
 //  1. unit tests of the grid's own contract (iteration order, incremental
 //     move semantics, loud failure on index desync);
 //  2. a randomized property suite (1000 trials) comparing every query kind
-//     against an independent brute-force reference, and a fuzz-style
-//     interleaving of insert/move/remove against a naive position map
-//     (run under ASAN in CI);
-//  3. end-to-end: full simulations with the index on and off must produce
-//     bit-identical results for all three algorithms, with and without the
-//     robot fault/repair chaos, and stay byte-identical across runner
-//     worker counts (run under TSAN in CI).
+//     against the brute-force reference, and a fuzz-style interleaving of
+//     insert/move/remove against a naive position map (run under ASAN in
+//     CI);
+//  3. end-to-end: throughout full simulations of all three algorithms, with
+//     and without the robot fault/repair chaos, every grid-backed query the
+//     simulator makes matches the brute-force reference on the live state,
+//     and runs stay byte-identical across runner worker counts (run under
+//     TSAN in CI).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <vector>
 
+#include "brute_reference.hpp"
 #include "core/simulation.hpp"
 #include "runner/executor.hpp"
 #include "runner/sink.hpp"
@@ -157,62 +159,45 @@ TEST(UniformGrid, InRectIsClosedAndAscending) {
   EXPECT_EQ(g.in_rect({{100, 100}, {150, 150}}), (std::vector<int>{1, 3}));
 }
 
+TEST(UniformGrid, WithinRadiusIsAClosedBall) {
+  UniformGrid2D<int> g(kField, 10.0);
+  g.insert(1, {0, 0});
+  g.insert(2, {10, 0});
+  EXPECT_EQ(g.within_radius({0, 0}, 10.0), (std::vector<int>{1, 2}));
+  EXPECT_EQ(g.within_radius({0, 0}, 9.999), std::vector<int>{1});
+}
+
+TEST(UniformGrid, NegativeCoordinatesWork) {
+  // Bounds entirely at negative coordinates, plus points beyond their
+  // negative edges (clamped into the border cells).
+  UniformGrid2D<int> g({{-200.0, -200.0}, {-50.0, -50.0}}, 25.0);
+  g.insert(1, {-100, -100});
+  g.insert(2, {-110, -90});
+  g.insert(3, {-230, -260});
+  EXPECT_EQ(g.within_radius({-100, -100}, 30), (std::vector<int>{1, 2}));
+  EXPECT_EQ(g.within_radius({-215, -245}, 22), std::vector<int>{3});
+  EXPECT_EQ(g.nearest({-300, -300}).value(), 3);
+}
+
+TEST(UniformGrid, WithinRadiusMatchesBruteForceOnRandomData) {
+  // Query radii from a sixth of a cell to two cells; the grid covers only
+  // the lower-left quarter of the point cloud, so most points are clamped.
+  sim::Rng rng(555);
+  UniformGrid2D<std::uint32_t> g({{0.0, 0.0}, {250.0, 250.0}}, 63.0);
+  reference::BruteIndex<std::uint32_t> brute;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const Vec2 p{rng.uniform(0, 500), rng.uniform(0, 500)};
+    g.insert(i, p);
+    brute.pts.emplace_back(i, p);
+  }
+  for (int t = 0; t < 50; ++t) {
+    const Vec2 q{rng.uniform(0, 500), rng.uniform(0, 500)};
+    const double radius = rng.uniform(10, 120);
+    EXPECT_EQ(g.within_radius(q, radius), brute.within_radius(q, radius)) << "query " << t;
+  }
+}
+
 // --- randomized property suite: grid vs brute force -------------------------
-
-/// Independent reference: the scans the simulator used before the index.
-struct BruteRef {
-  std::vector<std::pair<int, Vec2>> pts;  // ascending id
-
-  /// d2 comparator, first-wins over ascending ids == ties to the lowest id.
-  template <typename Filter>
-  [[nodiscard]] std::optional<int> nearest_d2(Vec2 p, Filter accept) const {
-    std::optional<int> best;
-    double best_d2 = std::numeric_limits<double>::infinity();
-    for (const auto& [id, pos] : pts) {
-      if (!accept(id)) continue;
-      const double d2 = geometry::distance2(pos, p);
-      if (!best || d2 < best_d2) {
-        best = id;
-        best_d2 = d2;
-      }
-    }
-    return best;
-  }
-
-  /// fl(sqrt(d2)) comparator — what brute scans using geometry::distance
-  /// compare. sqrt rounding can merge distinct d2 keys, so this and
-  /// nearest_d2 can legitimately disagree; each must match its grid twin.
-  template <typename Filter>
-  [[nodiscard]] std::optional<int> nearest_euclid(Vec2 p, Filter accept) const {
-    std::optional<int> best;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (const auto& [id, pos] : pts) {
-      if (!accept(id)) continue;
-      const double d = geometry::distance(pos, p);
-      if (!best || d < best_d) {
-        best = id;
-        best_d = d;
-      }
-    }
-    return best;
-  }
-
-  [[nodiscard]] std::vector<int> within_radius(Vec2 p, double r) const {
-    std::vector<int> out;
-    for (const auto& [id, pos] : pts) {
-      if (geometry::distance2(pos, p) <= r * r) out.push_back(id);
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<int> in_rect(const Rect& r) const {
-    std::vector<int> out;
-    for (const auto& [id, pos] : pts) {
-      if (r.contains(pos)) out.push_back(id);
-    }
-    return out;
-  }
-};
 
 TEST(UniformGridProperty, AllQueriesMatchBruteForceOverRandomizedTrials) {
   sim::Rng rng(20260805);
@@ -223,7 +208,7 @@ TEST(UniformGridProperty, AllQueriesMatchBruteForceOverRandomizedTrials) {
     const double cell = 5.0 + rng.uniform01() * 200.0;
     const int n = 1 + static_cast<int>(rng.uniform01() * 60.0);
     UniformGrid2D<int> grid(kField, cell);
-    BruteRef brute;
+    reference::BruteIndex<int> brute;
     for (int id = 0; id < n; ++id) {
       Vec2 p{rng.uniform01() * 440.0 - 20.0, rng.uniform01() * 440.0 - 20.0};
       if (rng.uniform01() < 0.1) p = {p.x * 10.0 - 1000.0, p.y};  // far outside
@@ -325,15 +310,25 @@ TEST(UniformGridFuzz, IncrementalMutationsNeverDesyncFromNaiveReference) {
   }
 }
 
-// --- end to end: the index must change nothing but speed --------------------
+// --- end to end: grid-backed queries against brute force, mid-run -----------
 
-core::ExperimentResult run_mode(bool spatial, core::Algorithm algo, bool chaos) {
+/// Exposes the protected fleet queries of whichever algorithm a Simulation
+/// built: a pointer to a base-class member named through a derived class.
+struct FleetQueries : core::CoordinationAlgorithm {
+  using core::CoordinationAlgorithm::closest_live_robot;
+  using core::CoordinationAlgorithm::nearest_robot_index;
+};
+
+/// Runs the simulation in 200 s steps. At every step, each grid-backed
+/// query — the fleet's closest live robot and nearest robot, the field's
+/// slots within range, the medium's unit-disk neighbourhoods — must equal
+/// the brute-force reference over the live state.
+void expect_queries_match_brute_force(core::Algorithm algo, bool chaos) {
   core::SimulationConfig cfg;
   cfg.algorithm = algo;
   cfg.robots = 4;
   cfg.seed = 2026;
   cfg.sim_duration = chaos ? 4000.0 : 8000.0;
-  cfg.field.spatial_index = spatial;
   if (chaos) {
     // Deaths, MTTR resurrections, auto-tuned leases, and packet loss: every
     // fault-tolerance path the index touches (supervision sweeps, adoption
@@ -345,50 +340,64 @@ core::ExperimentResult run_mode(bool spatial, core::Algorithm algo, bool chaos) 
     cfg.radio.loss_probability = 0.05;
   }
   core::Simulation s(cfg);
-  s.run();
-  return s.result();
-}
-
-void expect_identical(const core::ExperimentResult& a, const core::ExperimentResult& b) {
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.reported, b.reported);
-  EXPECT_EQ(a.repaired, b.repaired);
-  EXPECT_EQ(a.unreported, b.unreported);
-  EXPECT_EQ(a.router_drops, b.router_drops);
-  // Bitwise, not NEAR: the index replaces scans with scans over the same
-  // doubles in an equivalent order; any ULP of drift is a bug.
-  EXPECT_EQ(a.avg_travel_per_repair, b.avg_travel_per_repair);
-  EXPECT_EQ(a.avg_report_hops, b.avg_report_hops);
-  EXPECT_EQ(a.avg_request_hops, b.avg_request_hops);
-  EXPECT_EQ(a.location_update_tx_per_repair, b.location_update_tx_per_repair);
-  EXPECT_EQ(a.avg_detection_latency, b.avg_detection_latency);
-  EXPECT_EQ(a.avg_repair_latency, b.avg_repair_latency);
-  EXPECT_EQ(a.p95_repair_latency, b.p95_repair_latency);
-  EXPECT_EQ(a.total_robot_distance, b.total_robot_distance);
-  EXPECT_EQ(a.motion_energy_j, b.motion_energy_j);
-  EXPECT_EQ(a.robot_failures, b.robot_failures);
-  EXPECT_EQ(a.tasks_lost, b.tasks_lost);
-  EXPECT_EQ(a.redispatches, b.redispatches);
-  EXPECT_EQ(a.failover_events, b.failover_events);
-  EXPECT_EQ(a.adoptions, b.adoptions);
-  EXPECT_EQ(a.robot_repairs, b.robot_repairs);
-  EXPECT_EQ(a.elections, b.elections);
-  EXPECT_EQ(a.handbacks, b.handbacks);
-  EXPECT_EQ(a.ownership_transfers, b.ownership_transfers);
-  EXPECT_EQ(a.transmissions, b.transmissions);
+  auto& algorithm = s.algorithm();
+  const auto& field = s.field();
+  const auto& medium = s.medium();
+  const Rect area = cfg.field_area();
+  sim::Rng rng(99);
+  for (double t = 200.0; t <= cfg.sim_duration; t += 200.0) {
+    s.run_until(t);
+    reference::BruteIndex<std::size_t> fleet;
+    for (std::size_t i = 0; i < s.robots().size(); ++i) {
+      fleet.pts.emplace_back(i, s.robots()[i]->position());
+    }
+    reference::BruteIndex<net::NodeId> sensors;
+    for (net::NodeId id = 0; id < field.size(); ++id) {
+      sensors.pts.emplace_back(id, field.node(id).position());
+    }
+    // Every alive transceiver: sensors, robots and the manager.
+    reference::BruteIndex<net::NodeId> radios;
+    for (net::NodeId id = 0; id <= cfg.manager_id(); ++id) {
+      if (medium.attached(id) && medium.alive(id)) {
+        radios.pts.emplace_back(id, medium.position_of(id));
+      }
+    }
+    const auto live = [&](std::size_t i) { return !algorithm.robot_presumed_dead(i); };
+    const auto any = [](std::size_t) { return true; };
+    for (int k = 0; k < 20; ++k) {
+      // Queries reach a little past the field edge.
+      const Vec2 q{rng.uniform(area.min.x - 50.0, area.max.x + 50.0),
+                   rng.uniform(area.min.y - 50.0, area.max.y + 50.0)};
+      auto* closest = (algorithm.*(&FleetQueries::closest_live_robot))(q);
+      const auto want = fleet.nearest_euclid(q, live);
+      ASSERT_EQ(closest == nullptr, !want.has_value()) << "t=" << t;
+      if (want) {
+        ASSERT_EQ(closest, s.robots()[*want].get()) << "t=" << t;
+      }
+      ASSERT_EQ((algorithm.*(&FleetQueries::nearest_robot_index))(q),
+                fleet.nearest_d2(q, any))
+          << "t=" << t;
+      const double r = rng.uniform(0.0, 150.0);
+      ASSERT_EQ(field.slots_within(q, r), sensors.within_distance(q, r)) << "t=" << t;
+      ASSERT_EQ(medium.nodes_near(q, r), radios.within_radius(q, r)) << "t=" << t;
+    }
+    for (const auto& robot : s.robots()) {
+      if (!medium.alive(robot->id())) continue;
+      auto want = radios.within_radius(robot->position(), medium.tx_range_of(robot->id()));
+      std::erase(want, robot->id());
+      ASSERT_EQ(medium.neighbors_of(robot->id()), want) << "t=" << t;
+    }
+  }
 }
 
 class SpatialEquivalence : public ::testing::TestWithParam<core::Algorithm> {};
 
-TEST_P(SpatialEquivalence, DefaultRunIsBitIdenticalWithIndexOnAndOff) {
-  expect_identical(run_mode(true, GetParam(), /*chaos=*/false),
-                   run_mode(false, GetParam(), /*chaos=*/false));
+TEST_P(SpatialEquivalence, DefaultRunQueriesMatchBruteForce) {
+  expect_queries_match_brute_force(GetParam(), /*chaos=*/false);
 }
 
-TEST_P(SpatialEquivalence, FaultChaosRunIsBitIdenticalWithIndexOnAndOff) {
-  expect_identical(run_mode(true, GetParam(), /*chaos=*/true),
-                   run_mode(false, GetParam(), /*chaos=*/true));
+TEST_P(SpatialEquivalence, FaultChaosRunQueriesMatchBruteForce) {
+  expect_queries_match_brute_force(GetParam(), /*chaos=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SpatialEquivalence,
@@ -399,9 +408,9 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SpatialEquivalence,
                            return std::string(core::to_string(tpi.param));
                          });
 
-// With the index on (the default), the parallel runner must keep its
-// byte-identical-across-worker-counts guarantee: the grid is per-simulation
-// state, so workers must never share one. TSAN runs this in CI.
+// The parallel runner must keep its byte-identical-across-worker-counts
+// guarantee: the grid is per-simulation state, so workers must never share
+// one. TSAN runs this in CI.
 TEST(SpatialRunnerDeterminism, CsvIsByteIdenticalAcrossWorkerCountsWithIndexOn) {
   runner::ParameterGrid grid;
   grid.algorithms = {core::Algorithm::kCentralized, core::Algorithm::kFixedDistributed,
@@ -409,7 +418,6 @@ TEST(SpatialRunnerDeterminism, CsvIsByteIdenticalAcrossWorkerCountsWithIndexOn) 
   grid.robot_counts = {4};
   grid.seeds = 2;
   grid.base.sim_duration = 800.0;
-  grid.base.field.spatial_index = true;
   grid.base.robot_faults.mtbf = 400.0;  // exercise supervision in every job
   grid.base.robot_faults.mttr = 200.0;
 

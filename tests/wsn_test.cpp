@@ -159,7 +159,8 @@ class FieldFixture : public ::testing::Test {
   static constexpr NodeId kManagerId = 1000;
 
   FieldFixture()
-      : medium_(sim_, sim::Rng(7), net::RadioConfig{}, counters_, 63.0) {}
+      : medium_(sim_, sim::Rng(7), net::RadioConfig{}, counters_,
+                geometry::Rect::sized(200.0, 200.0), 63.0) {}
 
   /// Builds a 3x3 grid field with 40 m spacing (everyone has 2-4 neighbors
   /// at 63 m range) plus a manager node in the middle.

@@ -7,9 +7,8 @@
 # repetition medians, and fails if either enabled state costs more than the
 # tolerance below the disabled state. All three modes execute the identical
 # event stream in the same process, so their ratio isolates the
-# instrumentation cost from the machine — the same trick as
-# check_ticks_regression.sh, but with no committed baseline needed: mode 0
-# IS the baseline, measured in the same run.
+# instrumentation cost from the machine, with no committed baseline needed:
+# mode 0 IS the baseline, measured in the same run.
 #
 # Usage: check_metrics_overhead.sh [--bench PATH] [--out CSV] [--tolerance PCT]
 set -euo pipefail

@@ -43,21 +43,6 @@
 //   --lease-auto-tune   tune each robot's lease window from its observed
 //                       update cadence (EWMA; clamped to the configured window)
 //   --collisions        model broadcast-frame collisions at receivers
-//   --no-spatial-index  disable the uniform-grid spatial index and use the
-//                       brute-force scans (results are byte-identical; this
-//                       flag exists for the equivalence CI job and benchmarks)
-//   --shards=N          spatially sharded execution: partition the field into
-//                       N grid-aligned column tiles and classify each tile's
-//                       beacon ticks on its own worker between deterministic
-//                       barriers (default 1 = the stock sequential schedule;
-//                       results are byte-identical at any N — the
-//                       shard-equivalence CI job and tests/shard_test.cpp
-//                       hold it to that; see docs/SHARDING.md)
-//   --legacy-hot-path   disable the data-oriented hot loop: map-backed event
-//                       queue storage and per-node pointer-chasing sweeps
-//                       instead of the pooled queue + flat SoA mirrors
-//                       (results are byte-identical; equivalence CI job and
-//                       the E19 before/after benchmarks)
 //   --csv=PATH          append one result row per run to a CSV file
 //   --trace=PATH        write the failure-lifecycle event log as JSON lines
 //   --trace-out=PATH    write repair-lifecycle spans as Chrome trace_event
@@ -266,9 +251,6 @@ int main(int argc, char** argv) {
     cfg.field.reliable_reports = args.has("reliable-reports");
     cfg.idle_reposition = args.has("idle-reposition");
     cfg.radio.model_collisions = args.has("collisions");
-    cfg.field.spatial_index = !args.has("no-spatial-index");
-    cfg.field.data_oriented = !args.has("legacy-hot-path");
-    cfg.field.shards = args.get_u64("shards", 1);
 
     const double inf = std::numeric_limits<double>::infinity();
     auto& faults = cfg.robot_faults;

@@ -23,9 +23,6 @@
 //   --horizon=S           virtual-clock ceiling (default 1e9 — "forever")
 //   --mean-lifetime=S     E[sensor lifetime] seconds (default 16000)
 //   --no-auto-failures    sensors only die via `fail` commands
-//   --shards=N            spatially sharded execution: tile workers between
-//                         deterministic barriers (default 1; observable
-//                         state identical at any N — docs/SHARDING.md)
 //   --loss=P              per-reception Bernoulli loss probability
 //   --telemetry-period=S  sample telemetry every S sim seconds (0 = off)
 //   --telemetry-jsonl=PATH  also write telemetry samples as JSON lines
@@ -216,7 +213,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<service::Daemon> daemon;
     if (!restore.empty()) {
       for (const char* flag : {"algorithm", "algo", "robots", "seed", "horizon",
-                               "mean-lifetime", "no-auto-failures", "loss", "shards",
+                               "mean-lifetime", "no-auto-failures", "loss",
                                "telemetry-period", "retention-window", "trace-stages"}) {
         if (args.has(flag)) {
           throw std::invalid_argument(std::string("--") + flag +
@@ -241,7 +238,6 @@ int main(int argc, char** argv) {
       opts.mean_lifetime = args.get_double_in("mean-lifetime", 16000.0, 1.0,
                                               std::numeric_limits<double>::infinity());
       opts.spontaneous_failures = !args.has("no-auto-failures");
-      opts.shards = args.get_u64("shards", 1);
       opts.loss = args.get_double_in("loss", 0.0, 0.0, 1.0);
       opts.telemetry_period = args.get_double_in("telemetry-period", 0.0, 0.0, 1e18);
       opts.retention_window = args.get_double_in("retention-window", 0.0, 0.0, 1e18);

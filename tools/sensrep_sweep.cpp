@@ -36,9 +36,6 @@
 //   --robot-mttr=S   mean time to repair failed robots ("inf" disables, the
 //                    default); with --robot-mtbf this turns the fleet into a
 //                    steady-state availability model (E14)
-//   --shards=N       spatially sharded execution inside every cell (tile
-//                    workers between deterministic barriers); rows are
-//                    byte-identical at any N (docs/SHARDING.md)
 //   --profile        profile hot paths across the whole grid, add a per-job
 //                    wall_s CSV column, and print the slowest jobs. Opt-in
 //                    because wall clocks break byte-identical CSV comparisons
@@ -110,7 +107,6 @@ int main(int argc, char** argv) {
     const bool reliable_reports = args.has("reliable-reports");
     const double robot_mtbf = args.get_double_in("robot-mtbf", inf, 1.0, inf);
     const double robot_mttr = args.get_double_in("robot-mttr", inf, 1.0, inf);
-    const auto shards = args.get_u64("shards", 1);
     const bool profile = args.has("profile");
     const auto log_level = args.get_string("log-level", "");
     if (!log_level.empty()) {
@@ -131,7 +127,6 @@ int main(int argc, char** argv) {
     grid.base.field.reliable_reports = reliable_reports;
     grid.base.robot_faults.mtbf = robot_mtbf;
     grid.base.robot_faults.mttr = robot_mttr;
-    grid.base.field.shards = shards;
 
     std::ofstream out(out_path);
     runner::CsvSink csv(out, /*wall_time=*/profile);
