@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics_registry.hpp"
 
 namespace sensrep::chaos {
 
@@ -193,11 +192,10 @@ void InvariantChecker::verify_span_balance(bool final_check) {
 
 void InvariantChecker::record(const char* invariant, std::string detail) {
   InvariantViolation v{sim_->simulator().now(), invariant, std::move(detail)};
-  obs::Metrics::inc(obs::Counter::kInvariantViolations);
   // Stamp the breach into the ring before dumping so the dump's final
   // record carries the violation tick, then persist the history (even on
   // the fail_fast path — the artifact must survive the throw).
-  obs::FlightRecorder::note(v.time, obs::FlightKind::kViolation);
+  sim_->field().events().emit({.time = v.time, .kind = obs::Kind::kViolation});
   if (!opts_.flightrec_dump.empty() && obs::FlightRecorder::enabled()) {
     (void)obs::FlightRecorder::dump_to_file(opts_.flightrec_dump);
   }

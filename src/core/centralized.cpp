@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/log.hpp"
 
@@ -355,19 +354,14 @@ void CentralizedAlgorithm::apply_handback() {
   acting_manager_.reset();
   ++fault_stats_.handbacks;
   ++fault_stats_.ownership_transfers;
-  obs::Metrics::inc(obs::Counter::kHandbacks);
   obs::Metrics::inc(obs::Counter::kOwnershipTransfers);
-  obs::FlightRecorder::note(ctx().simulator->now(), obs::FlightKind::kHandback,
-                            manager_->id(), former);
   manager_pos_ = manager_->position();
   manager_lease_ = ctx().simulator->now();
   trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
                                "acting manager %u handed the role back to manager %u",
                                former, manager_->id());
-  if (event_log_) {
-    event_log_->record({ctx().simulator->now(), trace::EventKind::kFailover,
-                        manager_->id(), former, manager_pos_, std::nullopt});
-  }
+  emit({.time = manager_lease_, .kind = obs::Kind::kHandback, .node = manager_->id(),
+        .actor = former, .location = manager_pos_});
   // The in-flight table, tracking map, and backlogs survive the handback —
   // the role moves, the dispatcher state does not, so no task is lost.
   // Re-announce flood: the restored manager tells the network where to
@@ -483,21 +477,13 @@ void CentralizedAlgorithm::perform_failover() {
   acting_manager_ = winner;
   ++fault_stats_.failovers;
   ++fault_stats_.elections;
-  obs::Metrics::inc(obs::Counter::kFailovers);
-  obs::Metrics::inc(obs::Counter::kElections);
-  obs::FlightRecorder::note(ctx().simulator->now(), obs::FlightKind::kElection,
-                            robot_at(*winner).id());
-  obs::FlightRecorder::note(ctx().simulator->now(), obs::FlightKind::kFailover,
-                            robot_at(*winner).id());
   auto& am = robot_at(*winner);
   manager_pos_ = am.position();
   manager_lease_ = ctx().simulator->now();
   trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
                                "robot %u promoted to acting manager", am.id());
-  if (event_log_) {
-    event_log_->record({ctx().simulator->now(), trace::EventKind::kFailover, am.id(),
-                        manager_->id(), am.position(), std::nullopt});
-  }
+  emit({.time = manager_lease_, .kind = obs::Kind::kFailover, .node = am.id(),
+        .actor = manager_->id(), .location = manager_pos_});
   // Promotion flood: the new manager tells the whole network where to report
   // (same analytic accounting as the init flood). The old manager's in-flight
   // table died with it — unrepaired failures come back via the guardians'
@@ -520,6 +506,8 @@ void CentralizedAlgorithm::perform_failover() {
   // each replies kElectionAck — see on_robot_packet. Convergence is still
   // modeled as immediate (the winner is deterministic: lowest live id).
   ++election_seq_;
+  emit({.time = manager_lease_, .kind = obs::Kind::kElection, .node = am.id(),
+        .actor = manager_->id(), .location = manager_pos_});
   am.refresh_neighbor_table();
   for (std::size_t i = 0; i < robot_count(); ++i) {
     if (i == *winner || robot_at(i).failed()) continue;
@@ -549,18 +537,12 @@ void CentralizedAlgorithm::on_robot_presumed_dead(std::size_t index) {
     in_flight_.erase(fid);
     if (ctx().field->node(entry.slot).alive()) continue;
     ++fault_stats_.redispatches;
-    obs::Metrics::inc(obs::Counter::kRedispatches);
-    obs::FlightRecorder::note(ctx().simulator->now(),
-                              obs::FlightKind::kRedispatch, entry.slot,
-                              robot_at(index).id());
     trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
                                  "re-dispatching repair of %u (was in flight at robot %u)",
                                  entry.slot, robot_at(index).id());
-    if (event_log_) {
-      event_log_->record({ctx().simulator->now(), trace::EventKind::kRedispatch,
-                          entry.slot, robot_at(index).id(), entry.location,
-                          static_cast<double>(fid)});
-    }
+    emit({.time = ctx().simulator->now(), .kind = obs::Kind::kRedispatch,
+          .node = entry.slot, .actor = robot_at(index).id(), .location = entry.location,
+          .value = static_cast<double>(fid), .failure_id = fid});
     net::FailureReportPayload failure;
     failure.failed_node = entry.slot;
     failure.failed_location = entry.location;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "geometry/voronoi.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "trace/log.hpp"
@@ -33,20 +32,9 @@ bool CoordinationAlgorithm::record_report_arrival(const Packet& pkt) {
   if (!sim::is_valid_time(rec.reported_at)) {
     rec.reported_at = ctx_.simulator->now();
     rec.report_hops = pkt.hops;
-    obs::FlightRecorder::note(ctx_.simulator->now(),
-                              obs::FlightKind::kReportArrival, body.failed_node,
-                              pkt.src);
-    if (event_log_) {
-      event_log_->record({ctx_.simulator->now(), trace::EventKind::kReport,
-                          body.failed_node, pkt.src, body.failed_location,
-                          static_cast<double>(pkt.hops)});
-    }
-    if (tracer_) {
-      tracer_->close(body.failure_id, obs::Stage::kReport, ctx_.simulator->now(),
-                     static_cast<double>(pkt.hops), pkt.src);
-      tracer_->open(body.failure_id, obs::Stage::kDispatch, ctx_.simulator->now(),
-                    body.failed_node);
-    }
+    emit({.time = rec.reported_at, .kind = obs::Kind::kReport, .node = body.failed_node,
+          .actor = pkt.src, .location = body.failed_location,
+          .value = static_cast<double>(pkt.hops), .failure_id = body.failure_id});
   }
   return true;
 }
@@ -66,16 +54,12 @@ void CoordinationAlgorithm::acknowledge_report(routing::GeoRouter& router,
 void CoordinationAlgorithm::dispatch_to(robot::RobotNode& robot,
                                         const robot::RepairTask& task) {
   robot.enqueue(task);
-  obs::Metrics::inc(obs::Counter::kDispatches);
   obs::Metrics::observe(obs::Hist::kDispatchDistance,
                         geometry::distance(robot.position(), task.location));
-  obs::FlightRecorder::note(ctx_.simulator->now(), obs::FlightKind::kDispatch,
-                            task.slot, robot.id());
-  if (event_log_) {
-    event_log_->record({ctx_.simulator->now(), trace::EventKind::kDispatch, task.slot,
-                        robot.id(), task.location,
-                        static_cast<double>(robot.queue().size())});
-  }
+  emit({.time = ctx_.simulator->now(), .kind = obs::Kind::kDispatch, .node = task.slot,
+        .actor = robot.id(), .location = task.location,
+        .value = static_cast<double>(robot.queue().size()),
+        .failure_id = task.failure_id});
 }
 
 robot::RepairTask CoordinationAlgorithm::make_task(NodeId failed_slot,
@@ -104,9 +88,9 @@ void CoordinationAlgorithm::broadcast_location_update(robot::RobotNode& robot, b
   // observe, so the broadcast refreshes the sender's lease. (A failed robot
   // never reaches here — its heartbeat and movement events are cancelled.)
   if (ft_active_ && lease_refresh_on_broadcast()) refresh_lease(robot_index(robot.id()));
-  if (event_log_ && !init) {
-    event_log_->record({ctx_.simulator->now(), trace::EventKind::kRobotMove, robot.id(),
-                        std::nullopt, robot.position(), robot.odometer()});
+  if (!init) {
+    emit({.time = ctx_.simulator->now(), .kind = obs::Kind::kRobotMove,
+          .node = robot.id(), .location = robot.position(), .value = robot.odometer()});
   }
 }
 
@@ -130,27 +114,16 @@ void CoordinationAlgorithm::on_robot_failed(robot::RobotNode& robot,
                                             std::size_t tasks_lost) {
   ++fault_stats_.robot_failures;
   fault_stats_.tasks_lost += tasks_lost;
-  obs::Metrics::inc(obs::Counter::kRobotFailures);
   obs::Metrics::inc(obs::Counter::kTasksLost, tasks_lost);
-  obs::FlightRecorder::note(ctx_.simulator->now(), obs::FlightKind::kRobotCrash,
-                            robot.id(),
-                            static_cast<std::uint32_t>(tasks_lost));
-  if (event_log_) {
-    event_log_->record({ctx_.simulator->now(), trace::EventKind::kRobotFailure,
-                        robot.id(), std::nullopt, robot.position(),
-                        static_cast<double>(tasks_lost)});
-  }
+  emit({.time = ctx_.simulator->now(), .kind = obs::Kind::kRobotFailure,
+        .node = robot.id(), .location = robot.position(),
+        .value = static_cast<double>(tasks_lost)});
 }
 
 void CoordinationAlgorithm::on_robot_repaired(robot::RobotNode& robot) {
   ++fault_stats_.robot_repairs;
-  obs::Metrics::inc(obs::Counter::kRobotRepairs);
-  obs::FlightRecorder::note(ctx_.simulator->now(),
-                            obs::FlightKind::kRobotRepair, robot.id());
-  if (event_log_) {
-    event_log_->record({ctx_.simulator->now(), trace::EventKind::kRobotRepair,
-                        robot.id(), std::nullopt, robot.position(), std::nullopt});
-  }
+  emit({.time = ctx_.simulator->now(), .kind = obs::Kind::kRobotRepair,
+        .node = robot.id(), .location = robot.position()});
   const std::size_t index = robot_index(robot.id());
   if (ft_active_) {
     // Grace lease from the resurrection instant, and a reset cadence: the
@@ -264,9 +237,7 @@ void CoordinationAlgorithm::supervise() {
       continue;
     }
     presumed_dead_[i] = true;
-    obs::Metrics::inc(obs::Counter::kLeaseExpiries);
-    obs::FlightRecorder::note(now, obs::FlightKind::kLeaseExpiry,
-                              robot_at(i).id());
+    emit({.time = now, .kind = obs::Kind::kLeaseExpiry, .node = robot_at(i).id()});
     // Clamped to >= 0: at the boundary sweep the raw difference is a
     // negative epsilon, which printed as "-0s ago" and broke trace greps.
     const double overdue = std::max(0.0, now - lease_[i] - window);

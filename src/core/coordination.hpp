@@ -10,11 +10,9 @@
 #include "core/config.hpp"
 #include "spatial/uniform_grid.hpp"
 #include "metrics/failure_log.hpp"
-#include "obs/tracer.hpp"
 #include "net/medium.hpp"
 #include "robot/robot.hpp"
 #include "sim/simulator.hpp"
-#include "trace/event_log.hpp"
 #include "wsn/sensor_field.hpp"
 #include "wsn/sensor_policy.hpp"
 
@@ -73,14 +71,6 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// Robot meters driven during initialization (the fixed algorithm moves
   /// robots to subarea centers); excluded from the Fig.-2 metric.
   [[nodiscard]] double init_motion() const noexcept { return init_motion_; }
-
-  /// Streams report/dispatch/robot-move events into `log` (nullptr
-  /// detaches). The log must outlive the algorithm.
-  void set_event_log(trace::EventLog* log) noexcept { event_log_ = log; }
-
-  /// Opens/closes report/dispatch spans on `tracer` (nullptr detaches). The
-  /// tracer must outlive the algorithm.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// RobotPolicy: anticipatory repositioning (config().idle_reposition,
   /// extension E12) — an idle robot returns to its region's centroid.
@@ -225,9 +215,9 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// are refreshed when the update *reaches the manager*.
   [[nodiscard]] virtual bool lease_refresh_on_broadcast() const { return true; }
 
+  void emit(const obs::Event& e) const { ctx_.field->events().emit(e); }
+
   double init_motion_ = 0.0;
-  trace::EventLog* event_log_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   FaultStats fault_stats_;
 
  private:

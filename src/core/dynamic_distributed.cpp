@@ -110,10 +110,8 @@ void DynamicDistributedAlgorithm::on_robot_presumed_dead(std::size_t index) {
   trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
                                "reflooding location of robot %u toward dead robot %u's cell",
                                live->id(), robot_at(index).id());
-  if (event_log_) {
-    event_log_->record({ctx().simulator->now(), trace::EventKind::kFailover, live->id(),
-                        robot_at(index).id(), live->position(), std::nullopt});
-  }
+  emit({.time = ctx().simulator->now(), .kind = obs::Kind::kFailover, .node = live->id(),
+        .actor = robot_at(index).id(), .location = live->position()});
   // A real flood seed: orphaned sensors (those whose myrobot aged out) relay
   // unconditionally, so the update spreads across the dead robot's cell.
   broadcast_location_update(*live);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/log.hpp"
 
@@ -115,27 +114,21 @@ void FixedDistributedAlgorithm::on_robot_presumed_dead(std::size_t index) {
     return;
   }
   ctx().medium->account(metrics::MessageCategory::kFaultTolerance, robot_count());
+  auto& am = robot_at(*adopter);
   std::vector<std::size_t> adopted;
   for (std::size_t cell = 0; cell < owner_.size(); ++cell) {
     if (owner_[cell] != index) continue;
     owner_[cell] = *adopter;
     adopted.push_back(cell);
     ++fault_stats_.adoptions;
-    obs::Metrics::inc(obs::Counter::kAdoptions);
-    obs::FlightRecorder::note(ctx().simulator->now(), obs::FlightKind::kAdoption,
-                              static_cast<std::uint32_t>(cell),
-                              robot_at(*adopter).id());
+    emit({.time = ctx().simulator->now(), .kind = obs::Kind::kAdoption, .node = am.id(),
+          .actor = robot_at(index).id(), .location = am.position(),
+          .value = static_cast<double>(cell)});
   }
   if (adopted.empty()) return;  // its cells were already adopted earlier
-  auto& am = robot_at(*adopter);
   trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
                                "robot %u adopts %zu subarea(s) of dead robot %u",
                                am.id(), adopted.size(), robot_at(index).id());
-  if (event_log_) {
-    event_log_->record({ctx().simulator->now(), trace::EventKind::kFailover, am.id(),
-                        robot_at(index).id(), am.position(),
-                        static_cast<double>(adopted.size())});
-  }
   // Ownership flood: a network-wide control broadcast (accounted analytically
   // like the init floods — relay rules confine location updates to owned
   // cells, so ownership changes must travel as their own flood).
@@ -222,8 +215,9 @@ void FixedDistributedAlgorithm::apply_return(robot::RobotNode& robot, const Pack
   owner_[cell] = mine;
   ++fault_stats_.ownership_transfers;
   obs::Metrics::inc(obs::Counter::kOwnershipTransfers);
-  obs::FlightRecorder::note(ctx().simulator->now(), obs::FlightKind::kHandback,
-                            robot.id(), static_cast<std::uint32_t>(cell));
+  emit({.time = ctx().simulator->now(), .kind = obs::Kind::kHandback, .node = robot.id(),
+        .actor = pkt.src, .location = robot.position(),
+        .value = static_cast<double>(cell)});
   trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
                                "robot %u took subarea %zu back from robot %u",
                                robot.id(), cell, pkt.src);

@@ -127,16 +127,9 @@ Simulation::~Simulation() = default;
 
 void Simulation::run() { run_until(config_.sim_duration); }
 
-void Simulation::attach_event_log(trace::EventLog& log) {
-  field_->set_event_log(&log);
-  algo_->set_event_log(&log);
-}
+void Simulation::attach_event_log(obs::EventLog& log) { field_->events().attach(log); }
 
-void Simulation::attach_tracer(obs::Tracer& tracer) {
-  field_->set_tracer(&tracer);
-  algo_->set_tracer(&tracer);
-  for (auto& r : robots_) r->set_tracer(&tracer);
-}
+void Simulation::attach_tracer(obs::Tracer& tracer) { field_->events().attach(tracer); }
 
 void Simulation::run_until(sim::SimTime t) { sim_.run_until(t); }
 

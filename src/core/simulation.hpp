@@ -154,9 +154,9 @@ class Simulation {
   /// out-of-range indices.
   bool inject_robot_repair(std::size_t index);
 
-  /// Streams failure-lifecycle and robot-movement events into `log` from now
-  /// on (see trace::EventLog). The log must outlive the simulation.
-  void attach_event_log(trace::EventLog& log);
+  /// Streams the domain events whose kind names the log sink into `log` from
+  /// now on (see obs::Kind). The log must outlive the simulation.
+  void attach_event_log(obs::EventLog& log);
 
   /// Follows every sensor failure through its repair lifecycle as spans on
   /// `tracer` from now on (see obs::Tracer and docs/OBSERVABILITY.md). The

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/domain.hpp"
 #include "obs/metrics_registry.hpp"
 
 namespace sensrep::obs {
@@ -11,27 +12,6 @@ std::atomic<bool> FlightRecorder::enabled_{false};
 std::atomic<std::uint64_t> FlightRecorder::head_{0};
 std::vector<FlightRecord> FlightRecorder::ring_;
 std::size_t FlightRecorder::mask_ = 0;
-
-std::string_view to_string(FlightKind k) noexcept {
-  switch (k) {
-    case FlightKind::kSensorFailure: return "sensor_failure";
-    case FlightKind::kSensorRepair: return "sensor_repair";
-    case FlightKind::kReportArrival: return "report_arrival";
-    case FlightKind::kDispatch: return "dispatch";
-    case FlightKind::kRedispatch: return "redispatch";
-    case FlightKind::kRobotCrash: return "robot_crash";
-    case FlightKind::kRobotRepair: return "robot_repair";
-    case FlightKind::kLeaseExpiry: return "lease_expiry";
-    case FlightKind::kFailover: return "failover";
-    case FlightKind::kElection: return "election";
-    case FlightKind::kHandback: return "handback";
-    case FlightKind::kAdoption: return "adoption";
-    case FlightKind::kCommand: return "command";
-    case FlightKind::kViolation: return "violation";
-    case FlightKind::kCount: break;
-  }
-  return "?";
-}
 
 void FlightRecorder::enable(std::size_t capacity) {
   std::size_t cap = 16;
@@ -66,20 +46,16 @@ std::vector<FlightRecord> FlightRecorder::dump() {
 }
 
 std::string FlightRecorder::dump_jsonl() {
+  const std::vector<FlightRecord> records = dump();
+  std::uint64_t seq = recorded() - records.size();
   std::string out;
-  if (ring_.empty()) return out;
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  const std::uint64_t n = head < ring_.size() ? head : ring_.size();
   char line[192];
-  for (std::uint64_t i = head - n; i < head; ++i) {
-    const FlightRecord& r = ring_[i & mask_];
+  for (const FlightRecord& r : records) {
     const std::string_view kind =
-        r.kind < static_cast<std::uint16_t>(FlightKind::kCount)
-            ? to_string(static_cast<FlightKind>(r.kind))
-            : "?";
+        r.kind < kKinds.size() ? kKinds[r.kind].name : std::string_view("?");
     std::snprintf(line, sizeof line,
                   "{\"seq\":%llu,\"t\":%.17g,\"kind\":\"%.*s\",\"a\":%u,\"b\":%u}\n",
-                  static_cast<unsigned long long>(i), r.t,
+                  static_cast<unsigned long long>(seq++), r.t,
                   static_cast<int>(kind.size()), kind.data(), r.a, r.b);
     out += line;
   }

@@ -8,41 +8,20 @@
 
 namespace sensrep::obs {
 
-/// Coordination-granularity event kinds recorded by the FlightRecorder.
-/// These mirror the milestone counters in metrics_registry — the recorder
-/// answers "what were the last N of those, in order, with ids and times".
-enum class FlightKind : std::uint16_t {
-  kSensorFailure,   // a = slot
-  kSensorRepair,    // a = slot, b = robot
-  kReportArrival,   // a = failed slot, b = manager
-  kDispatch,        // a = failed slot, b = robot
-  kRedispatch,      // a = failed slot, b = robot
-  kRobotCrash,      // a = robot
-  kRobotRepair,     // a = robot
-  kLeaseExpiry,     // a = robot (presumed dead)
-  kFailover,        // a = new manager
-  kElection,        // a = initiating robot
-  kHandback,        // a = returning manager
-  kAdoption,        // a = orphan slot, b = adopting robot
-  kCommand,         // a = protocol CommandKind ordinal
-  kViolation,       // a = violation ordinal within the run
-  kCount,
-};
-
-[[nodiscard]] std::string_view to_string(FlightKind k) noexcept;
+enum class Kind : std::uint16_t;  // obs/domain.hpp
 
 /// Fixed binary flight record; 24 bytes, no pointers, trivially copyable.
 struct FlightRecord {
   double t = 0.0;       // virtual-clock seconds
-  std::uint32_t a = 0;  // primary id (kind-specific)
-  std::uint32_t b = 0;  // secondary id (kind-specific)
-  std::uint16_t kind = 0;
+  std::uint32_t a = 0;  // the event's node
+  std::uint32_t b = 0;  // the event's actor, 0 when it has none
+  std::uint16_t kind = 0;  // obs::Kind ordinal
   std::uint16_t pad = 0;
 };
 static_assert(sizeof(FlightRecord) == 24, "keep flight records fixed-size");
 
-/// Process-wide allocation-free ring buffer of the last N coordination
-/// events ("the last 64k events before it went wrong").
+/// Process-wide allocation-free ring buffer of the last N domain events
+/// whose kind names the flight sink ("the last 64k events before it went wrong").
 ///
 /// The ring is allocated once by enable(); note() is then allocation-free:
 /// one relaxed enabled load, one relaxed fetch_add on the head, one slot
@@ -63,7 +42,7 @@ class FlightRecorder {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  static void note(double t, FlightKind kind, std::uint32_t a = 0,
+  static void note(double t, Kind kind, std::uint32_t a = 0,
                    std::uint32_t b = 0) noexcept {
     if (!enabled()) return;
     const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);

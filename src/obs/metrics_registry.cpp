@@ -56,9 +56,9 @@ std::string_view counter_help(Counter c) noexcept {
     case Counter::kRobotRepairs: return "Robot repair completions";
     case Counter::kLeaseExpiries: return "Robots presumed dead by lease expiry";
     case Counter::kTasksLost: return "In-flight tasks lost to robot crashes";
-    case Counter::kFailovers: return "Manager failover completions";
+    case Counter::kFailovers: return "Robots taking over for a dead manager or robot";
     case Counter::kElections: return "Manager elections started";
-    case Counter::kHandbacks: return "Repaired managers taking their role back";
+    case Counter::kHandbacks: return "Repaired managers or robots taking their role back";
     case Counter::kOwnershipTransfers: return "Task-table ownership transfers";
     case Counter::kAdoptions: return "Orphan adoptions (fixed-distributed)";
     case Counter::kNetLossDrops: return "Per-receiver Bernoulli link losses";

@@ -14,23 +14,22 @@ namespace sensrep::obs {
 /// `sensrep_<name>_total` / one Influx field. Keep the catalog in
 /// docs/OBSERVABILITY.md in sync when adding entries.
 enum class Counter : std::uint16_t {
-  // wsn / repair pipeline
-  kSensorFailures,    // SensorField::fail_slot
-  kSensorRepairs,     // SensorField::replace_slot (failure record sealed)
-  kReportsArrived,    // CoordinationAlgorithm::record_report_arrival (fresh)
+  // repair pipeline and robot faults; "kind k": the domain kind's counter sink
+  kSensorFailures,    // kind failure
+  kSensorRepairs,     // kind replacement
+  kReportsArrived,    // CoordinationAlgorithm::record_report_arrival (fresh copy)
   kReportsDeduped,    // record_report_arrival (duplicate suppressed)
-  kDispatches,        // CoordinationAlgorithm::dispatch_to
-  kRedispatches,      // task recovery re-dispatch after robot loss
-  // robot fault tolerance
-  kRobotFailures,     // on_robot_failed
-  kRobotRepairs,      // on_robot_repaired
-  kLeaseExpiries,     // supervision sweep presumed-dead verdicts
-  kTasksLost,         // in-flight tasks lost to a robot crash
-  kFailovers,         // manager failover completions
-  kElections,         // manager elections started
-  kHandbacks,         // repaired manager takes its role back
+  kDispatches,        // kind dispatch
+  kRedispatches,      // kind redispatch
+  kRobotFailures,     // kind robot_failure
+  kRobotRepairs,      // kind robot_repair
+  kLeaseExpiries,     // kind lease_expiry
+  kTasksLost,         // CoordinationAlgorithm::on_robot_failed (tasks per crash)
+  kFailovers,         // kind failover
+  kElections,         // kind election
+  kHandbacks,         // kind handback
   kOwnershipTransfers,// task table ownership transfers
-  kAdoptions,         // fixed-distributed orphan adoptions
+  kAdoptions,         // kind adoption
   // net::Medium (per-transmission; category-labeled families are separate)
   kNetLossDrops,      // Bernoulli per-receiver losses
   kNetChaosDrops,     // Gilbert-Elliott burst / partition drops
@@ -42,12 +41,12 @@ enum class Counter : std::uint16_t {
   kEventsExecuted,    // EventQueue::pop delivering a live event
   kEventsCancelled,   // EventQueue::cancel
   // service plane
-  kServiceCommands,       // daemon protocol commands accepted
+  kServiceCommands,       // kind command
   kServiceCommandErrors,  // daemon protocol parse/apply errors
   kTelemetrySamples,      // TelemetryExporter ticks
   kJsonlDropped,          // JsonlSink lines dropped (backpressure/close)
   // oracle / flight recorder
-  kInvariantViolations,   // chaos::InvariantChecker::record
+  kInvariantViolations,   // kind violation
   kFlightRecDumps,        // flight recorder dumps written
   kCount,
 };

@@ -78,6 +78,14 @@ void Tracer::close_if_open(std::uint64_t trace_id, Stage stage, sim::SimTime t,
   close_impl(trace_id, stage, t, value, actor);
 }
 
+void Tracer::close_root(std::uint64_t trace_id, sim::SimTime t,
+                        std::optional<std::uint32_t> actor) {
+  const auto it = open_.find(key(trace_id, Stage::kRepair));
+  std::optional<double> latency;
+  if (it != open_.end()) latency = t - spans_[it->second].start;
+  close(trace_id, Stage::kRepair, t, latency, actor);
+}
+
 bool Tracer::is_open(std::uint64_t trace_id, Stage stage) const {
   return open_.contains(key(trace_id, stage));
 }

@@ -46,9 +46,9 @@ struct Span {
 
 /// Span-based repair-lifecycle tracer (simulation time, opt-in).
 ///
-/// The instrumented components (SensorField, CoordinationAlgorithm,
-/// RobotNode) call open()/close() as a failure progresses through its
-/// stages; a null tracer pointer disables everything at one branch per site.
+/// The EventHook's span sink (obs/domain.hpp) calls open()/close() as a
+/// failure progresses through its stages; with no tracer attached the hook
+/// skips the span-only kinds at one branch per site.
 ///
 /// Invariants the bookkeeping enforces:
 ///  - at most one *open* instance per (trace, stage): re-opening while open
@@ -75,6 +75,11 @@ class Tracer {
   void close_if_open(std::uint64_t trace_id, Stage stage, sim::SimTime t,
                      std::optional<double> value = std::nullopt,
                      std::optional<std::uint32_t> actor = std::nullopt);
+
+  /// close() of the kRepair root, whose value is its own duration (the
+  /// failure -> replacement latency).
+  void close_root(std::uint64_t trace_id, sim::SimTime t,
+                  std::optional<std::uint32_t> actor = std::nullopt);
 
   [[nodiscard]] bool is_open(std::uint64_t trace_id, Stage stage) const;
 

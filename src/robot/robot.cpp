@@ -68,21 +68,11 @@ std::size_t RobotNode::fail() {
   if (failed_) return 0;
   failed_ = true;
   std::size_t lost = current_ && !init_drive_ ? 1 : 0;
-  if (tracer_ && current_ && !init_drive_ && current_->failure_id != 0) {
-    // The in-flight task is stranded until redispatch (or never).
-    tracer_->close_if_open(current_->failure_id, obs::Stage::kTravel, sim_->now(),
-                           task_travel_, id_);
-    tracer_->open(current_->failure_id, obs::Stage::kOrphan, sim_->now(),
-                  current_->slot, id_);
-  }
+  // The in-flight task is stranded until redispatch (or never).
+  if (lost != 0) emit_task(obs::Kind::kTaskStranded, *current_, task_travel_);
   while (const auto dropped = queue_.pop()) {
     ++lost;
-    if (tracer_ && dropped->failure_id != 0) {
-      tracer_->close_if_open(dropped->failure_id, obs::Stage::kQueue, sim_->now(),
-                             std::nullopt, id_);
-      tracer_->open(dropped->failure_id, obs::Stage::kOrphan, sim_->now(),
-                    dropped->slot, id_);
-    }
+    emit_task(obs::Kind::kTaskOrphaned, *dropped);
   }
   current_.reset();
   reloading_ = false;
@@ -126,17 +116,8 @@ void RobotNode::enqueue(const RepairTask& task) {
   if (task.failure_id != 0) {
     auto& rec = field_->failure_log().at(task.failure_id - 1);
     if (!sim::is_valid_time(rec.dispatched_at)) rec.dispatched_at = sim_->now();
-    if (tracer_) {
-      // close_if_open on both: a re-report re-dispatches an already-accepted
-      // failure (dispatch long closed), and only fault recovery has an
-      // orphan span to resolve here.
-      tracer_->close_if_open(task.failure_id, obs::Stage::kDispatch, sim_->now(),
-                             std::nullopt, id_);
-      tracer_->close_if_open(task.failure_id, obs::Stage::kOrphan, sim_->now(),
-                             std::nullopt, id_);
-      tracer_->open(task.failure_id, obs::Stage::kQueue, sim_->now(), task.slot, id_);
-    }
   }
+  emit_task(obs::Kind::kTaskQueued, task);
   queue_.push(task);
   if (!current_) start_next_task();
 }
@@ -167,38 +148,26 @@ void RobotNode::start_next_task() {
   }
   current_ = *next;
   task_travel_ = 0.0;
-  if (tracer_ && current_->failure_id != 0) {
-    tracer_->close_if_open(current_->failure_id, obs::Stage::kQueue, sim_->now(),
-                           std::nullopt, id_);
-  }
-  // Out of spares: detour to the depot first (reload happens on arrival).
-  if (spares_ == 0 && config_.depot) {
-    reloading_ = true;
-    if (tracer_ && current_->failure_id != 0) {
-      tracer_->open(current_->failure_id, obs::Stage::kTravel, sim_->now(),
-                    current_->slot, id_);
-    }
-    begin_leg_to(*config_.depot);
-    return;
-  }
-  if (spares_ == 0) {
+  if (spares_ == 0 && !config_.depot) {
     ++orphaned_tasks_;  // surfaced as the orphaned_tasks result metric
     trace::Logger::global().logf(trace::Level::kWarn, sim_->now(), "robot",
                                  "robot %u has no spares and no depot; dropping task for %u",
                                  id_, current_->slot);
-    if (tracer_ && current_->failure_id != 0) {
-      tracer_->open(current_->failure_id, obs::Stage::kOrphan, sim_->now(),
-                    current_->slot, id_);
-    }
+    emit_task(obs::Kind::kTaskOrphaned, *current_);
     current_.reset();
     start_next_task();
     return;
   }
-  if (tracer_ && current_->failure_id != 0) {
-    tracer_->open(current_->failure_id, obs::Stage::kTravel, sim_->now(),
-                  current_->slot, id_);
-  }
-  begin_leg_to(current_->location);
+  emit_task(obs::Kind::kTaskStarted, *current_);
+  // Out of spares: detour to the depot first (reload happens on arrival).
+  reloading_ = spares_ == 0;
+  begin_leg_to(reloading_ ? *config_.depot : current_->location);
+}
+
+void RobotNode::emit_task(obs::Kind kind, const RepairTask& task,
+                          std::optional<double> value) const {
+  field_->events().emit({.time = sim_->now(), .kind = kind, .node = task.slot,
+                         .actor = id_, .value = value, .failure_id = task.failure_id});
 }
 
 void RobotNode::begin_leg_to(Vec2 target) {
@@ -246,10 +215,7 @@ void RobotNode::arrive() {
   // The travel span closes on any arrival, including the duplicate-dispatch
   // one below: the robot drove either way, and leaving the span open would
   // misreport finished work as orphaned.
-  if (tracer_ && task.failure_id != 0) {
-    tracer_->close_if_open(task.failure_id, obs::Stage::kTravel, sim_->now(),
-                           task_travel_, id_);
-  }
+  emit_task(obs::Kind::kTaskArrived, task, task_travel_);
   // Duplicate dispatch (two watchers reported to two robots): whoever
   // arrives second finds the slot already alive and keeps its spare.
   if (field_->node(task.slot).alive()) {

@@ -8,7 +8,6 @@
 #include "geometry/vec2.hpp"
 #include "net/medium.hpp"
 #include "net/packet.hpp"
-#include "obs/tracer.hpp"
 #include "robot/task_queue.hpp"
 #include "routing/geo_router.hpp"
 #include "routing/neighbor_table.hpp"
@@ -143,10 +142,6 @@ class RobotNode {
   /// Medium receive entry.
   void on_packet(const net::Packet& pkt, net::NodeId from);
 
-  /// Opens/closes queue/travel/orphan spans on `tracer` (nullptr detaches).
-  /// The tracer must outlive the robot.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-
   /// Starts the periodic liveness heartbeat (robot fault tolerance): every
   /// `period` seconds the policy's on_robot_location_update fires as if the
   /// robot had crossed a movement threshold, so a parked robot keeps
@@ -172,6 +167,9 @@ class RobotNode {
   void step_movement();
   void arrive();
   void begin_leg_to(geometry::Vec2 target);
+  /// Emits a task-stage transition (a span-only domain kind) for `task`.
+  void emit_task(obs::Kind kind, const RepairTask& task,
+                 std::optional<double> value = std::nullopt) const;
 
   net::NodeId id_;
   geometry::Vec2 pos_;
@@ -199,7 +197,6 @@ class RobotNode {
   bool failed_ = false;
   sim::EventId move_event_{};
   sim::EventId heartbeat_event_{};
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace sensrep::robot

@@ -75,7 +75,6 @@ void Daemon::construct() {
     exporter_ = std::make_unique<TelemetryExporter>(
         *sim_, TelemetryExporter::Options{opts_.telemetry_period,
                                           opts_.retention_window});
-    if (opts_.trace_stages) exporter_->set_tracer(&tracer_);
     if (!opts_.telemetry_jsonl.empty()) {
       jsonl_file_.open(opts_.telemetry_jsonl);
       if (!jsonl_file_) {
@@ -131,9 +130,9 @@ std::optional<std::string> Daemon::handle_line(std::string_view line) {
     return std::string("err ") + e.what();
   }
   if (!cmd) return std::nullopt;
-  obs::Metrics::inc(obs::Counter::kServiceCommands);
-  obs::FlightRecorder::note(sim_->simulator().now(), obs::FlightKind::kCommand,
-                            static_cast<std::uint32_t>(cmd->kind));
+  sim_->field().events().emit({.time = sim_->simulator().now(),
+                               .kind = obs::Kind::kCommand,
+                               .node = static_cast<std::uint32_t>(cmd->kind)});
   std::string reply = is_mutation(cmd->kind) ? apply_mutation(*cmd) : dispatch_query(*cmd);
   if (reply.rfind("err", 0) == 0) {
     obs::Metrics::inc(obs::Counter::kServiceCommandErrors);

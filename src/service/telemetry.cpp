@@ -148,10 +148,10 @@ TelemetrySample TelemetryExporter::sample_now() const {
   s.availability = deployed > 0.0
       ? 1.0 - static_cast<double>(s.open_failures) / deployed
       : 1.0;
-  if (tracer_ != nullptr) {
+  if (const obs::Tracer* tracer = sim_.field().events().tracer()) {
     for (std::size_t i = 0; i < static_cast<std::size_t>(obs::Stage::kCount); ++i) {
       const auto stage = static_cast<obs::Stage>(i);
-      const auto durations = tracer_->stage_durations(stage);
+      const auto durations = tracer->stage_durations(stage);
       if (durations.empty()) continue;
       metrics::Summary summary;
       for (const double v : durations) summary.add(v);
@@ -191,7 +191,7 @@ void TelemetryExporter::tick() {
     const double cutoff = s.t - options_.retention_window;
     availability_.drop_before(cutoff);
     pending_.drop_before(cutoff);
-    if (tracer_ != nullptr) tracer_->compact(cutoff);
+    if (obs::Tracer* tracer = sim_.field().events().tracer()) tracer->compact(cutoff);
   }
   if (muted_) return;
   if (line_sink_) line_sink_(s.protocol_line());

@@ -123,7 +123,6 @@ class TelemetryExporter {
 
   TelemetryExporter(core::Simulation& sim, Options options);
 
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   void set_jsonl(JsonlSink* sink) noexcept { jsonl_ = sink; }
   /// Registers a metrics exporter (Influx/webhook) to drive on each tick —
   /// batched on the same virtual-clock cadence as the telemetry stream.
@@ -156,7 +155,6 @@ class TelemetryExporter {
 
   core::Simulation& sim_;
   Options options_;
-  obs::Tracer* tracer_ = nullptr;
   JsonlSink* jsonl_ = nullptr;
   std::vector<obs::Exporter*> metrics_exporters_;
   std::function<void(const std::string&)> line_sink_;

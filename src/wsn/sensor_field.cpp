@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/log.hpp"
 
@@ -154,21 +153,11 @@ void SensorField::fail_slot(NodeId slot) {
   n.fail();
   alive_soa_[slot] = 0;
   medium_->set_alive(slot, false);
-  obs::Metrics::inc(obs::Counter::kSensorFailures);
-  obs::FlightRecorder::note(now, obs::FlightKind::kSensorFailure, slot);
   open_failure_[slot] = log_->open(slot, now);
-  if (hooks_.on_failure) hooks_.on_failure(slot, now);
-  if (event_log_) {
-    event_log_->record({now, trace::EventKind::kFailure, slot, std::nullopt,
-                        n.position(), std::nullopt});
-  }
-  if (tracer_) {
-    // One trace per failure, keyed by the non-zero failure id carried in
-    // reports and tasks (FailureLog index + 1).
-    const std::uint64_t tid = *open_failure_[slot] + 1;
-    tracer_->open(tid, obs::Stage::kRepair, now, slot);  // root span
-    tracer_->open(tid, obs::Stage::kDetect, now, slot);
-  }
+  // One trace per failure, keyed by the non-zero failure id carried in
+  // reports and tasks (FailureLog index + 1).
+  events_.emit({.time = now, .kind = obs::Kind::kFailure, .node = slot,
+                .location = n.position(), .failure_id = *open_failure_[slot] + 1});
 
   // Neighbor-table staleness: every neighbor stops considering this node a
   // forwarding candidate exactly one staleness window after its last beacon
@@ -206,34 +195,18 @@ void SensorField::replace_slot(NodeId slot, NodeId robot) {
   announce.payload = net::ReplacementAnnouncePayload{n.position(), slot};
   medium_->broadcast(slot, announce);
 
+  std::uint64_t failure_id = 0;
   if (open_failure_[slot]) {
     auto& rec = log_->at(*open_failure_[slot]);
     rec.repaired_at = now;
     rec.robot_id = robot;
-    obs::Metrics::inc(obs::Counter::kSensorRepairs);
     obs::Metrics::observe(obs::Hist::kRepairLatency,
                           rec.repaired_at - rec.failed_at);
-    obs::FlightRecorder::note(now, obs::FlightKind::kSensorRepair, slot, robot);
-    if (tracer_) {
-      const std::uint64_t tid = *open_failure_[slot] + 1;
-      // Stages the normal path already closed are no-ops here; this sweeps
-      // up whatever fault recovery left open before sealing the root span.
-      tracer_->close_if_open(tid, obs::Stage::kDetect, now);
-      tracer_->close_if_open(tid, obs::Stage::kReport, now);
-      tracer_->close_if_open(tid, obs::Stage::kDispatch, now);
-      tracer_->close_if_open(tid, obs::Stage::kQueue, now);
-      tracer_->close_if_open(tid, obs::Stage::kTravel, now);
-      tracer_->close_if_open(tid, obs::Stage::kOrphan, now);
-      tracer_->close(tid, obs::Stage::kRepair, now, rec.repaired_at - rec.failed_at,
-                     robot);
-    }
+    failure_id = *open_failure_[slot] + 1;
     open_failure_[slot].reset();
   }
-  if (hooks_.on_replacement) hooks_.on_replacement(slot, now);
-  if (event_log_) {
-    event_log_->record({now, trace::EventKind::kReplacement, slot, robot, n.position(),
-                        std::nullopt});
-  }
+  events_.emit({.time = now, .kind = obs::Kind::kReplacement, .node = slot,
+                .actor = robot, .location = n.position(), .failure_id = failure_id});
 
   // Within one beacon period the new unit has heard all alive neighbors and
   // can pick a guardian (paper §4.2: "the neighbors send beacons containing
@@ -261,15 +234,9 @@ void SensorField::record_detection(NodeId slot) {
   auto& rec = log_->at(*fid);
   if (!rec.detected()) {
     rec.detected_at = sim_->now();
-    if (event_log_) {
-      event_log_->record({sim_->now(), trace::EventKind::kDetection, slot, std::nullopt,
-                          node(slot).position(), rec.detected_at - rec.failed_at});
-    }
-    if (tracer_) {
-      tracer_->close(*fid + 1, obs::Stage::kDetect, sim_->now(),
-                     rec.detected_at - rec.failed_at);
-      tracer_->open(*fid + 1, obs::Stage::kReport, sim_->now(), slot);
-    }
+    events_.emit({.time = rec.detected_at, .kind = obs::Kind::kDetection, .node = slot,
+                  .location = node(slot).position(),
+                  .value = rec.detected_at - rec.failed_at, .failure_id = *fid + 1});
   }
 }
 

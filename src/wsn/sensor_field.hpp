@@ -1,21 +1,19 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "geometry/rect.hpp"
 #include "metrics/counters.hpp"
-#include "obs/tracer.hpp"
+#include "obs/domain.hpp"
 #include "metrics/failure_log.hpp"
 #include "net/medium.hpp"
 #include "routing/neighbor_table.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "spatial/uniform_grid.hpp"
-#include "trace/event_log.hpp"
 #include "wsn/failure_model.hpp"
 #include "wsn/sensor_node.hpp"
 #include "wsn/sensor_policy.hpp"
@@ -79,11 +77,6 @@ struct FieldConfig {
 /// (is_sensor() relies on this).
 class SensorField {
  public:
-  struct Hooks {
-    std::function<void(net::NodeId slot, sim::SimTime when)> on_failure;
-    std::function<void(net::NodeId slot, sim::SimTime when)> on_replacement;
-  };
-
   SensorField(sim::Simulator& simulator, net::Medium& medium, SensorPolicy& policy,
               metrics::FailureLog& log, const FieldConfig& config, sim::Rng rng);
   ~SensorField();
@@ -101,16 +94,6 @@ class SensorField {
 
   /// Starts beacon/staleness ticks and the exponential lifetime clocks.
   void start();
-
-  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
-
-  /// Streams failure/detection/replacement events into `log` (nullptr
-  /// detaches). The log must outlive the field.
-  void set_event_log(trace::EventLog* log) noexcept { event_log_ = log; }
-
-  /// Opens/closes repair-lifecycle spans on `tracer` (nullptr detaches). The
-  /// tracer must outlive the field.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   // --- topology & lookup --------------------------------------------------
 
@@ -148,6 +131,9 @@ class SensorField {
   [[nodiscard]] SensorPolicy& policy() noexcept { return *policy_; }
   [[nodiscard]] metrics::FailureLog& failure_log() noexcept { return *log_; }
   [[nodiscard]] const FieldConfig& config() const noexcept { return config_; }
+
+  /// The domain-event hook the field, the robots and the algorithm emit through.
+  [[nodiscard]] obs::EventHook& events() noexcept { return events_; }
 
   // --- failure / replacement lifecycle -------------------------------------
 
@@ -194,7 +180,7 @@ class SensorField {
   metrics::FailureLog* log_;
   FieldConfig config_;
   sim::Rng rng_;
-  Hooks hooks_;
+  obs::EventHook events_;
 
   /// SensorNode beacon hook: keeps the flat last-beacon mirror in sync with
   /// the node's own stamp (called from tick() and revive()).
@@ -214,8 +200,6 @@ class SensorField {
   std::vector<std::vector<routing::NeighborEntry>> adjacency_;
   std::vector<std::optional<metrics::FailureLog::FailureId>> open_failure_;
   std::size_t unreported_ = 0;
-  trace::EventLog* event_log_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace sensrep::wsn

@@ -24,6 +24,7 @@
 
 #include "metrics/counters.hpp"
 #include "obs/exporters.hpp"
+#include "obs/domain.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "runner/executor.hpp"
@@ -33,7 +34,7 @@ namespace sensrep {
 namespace {
 
 using obs::Counter;
-using obs::FlightKind;
+using obs::Kind;
 using obs::FlightRecorder;
 using obs::Gauge;
 using obs::Hist;
@@ -302,7 +303,7 @@ TEST(MetricsHttpServerTest, ServesPrometheusTextOnEphemeralPort) {
 
 TEST(FlightRecorderTest, DisabledNotesAreNoOps) {
   FlightRecorder::disable();
-  FlightRecorder::note(1.0, FlightKind::kDispatch, 1, 2);
+  FlightRecorder::note(1.0, Kind::kDispatch, 1, 2);
   EXPECT_TRUE(FlightRecorder::dump().empty());
 }
 
@@ -310,7 +311,7 @@ TEST(FlightRecorderTest, KeepsTailOldestFirstAfterWrap) {
   FlightGuard guard(16);  // already a power of two
   ASSERT_EQ(FlightRecorder::capacity(), 16u);
   for (std::uint32_t i = 0; i < 20; ++i) {
-    FlightRecorder::note(static_cast<double>(i), FlightKind::kSensorFailure, i);
+    FlightRecorder::note(static_cast<double>(i), Kind::kFailure, i);
   }
   EXPECT_EQ(FlightRecorder::recorded(), 20u);
   const auto records = FlightRecorder::dump();
@@ -329,10 +330,10 @@ TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(FlightRecorderTest, DumpJsonlCarriesSeqKindIds) {
   FlightGuard guard(16);
-  FlightRecorder::note(12.5, FlightKind::kSensorRepair, 7, 3);
+  FlightRecorder::note(12.5, Kind::kReplacement, 7, 3);
   const std::string jsonl = FlightRecorder::dump_jsonl();
   EXPECT_NE(jsonl.find("\"seq\":0"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"kind\":\"sensor_repair\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"kind\":\"replacement\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"a\":7"), std::string::npos);
   EXPECT_NE(jsonl.find("\"b\":3"), std::string::npos);
 }
@@ -340,7 +341,7 @@ TEST(FlightRecorderTest, DumpJsonlCarriesSeqKindIds) {
 TEST(FlightRecorderTest, DumpToFileBumpsTheDumpCounter) {
   MetricsGuard metrics;
   FlightGuard guard(16);
-  FlightRecorder::note(1.0, FlightKind::kViolation);
+  FlightRecorder::note(1.0, Kind::kViolation);
   const std::string path = ::testing::TempDir() + "flightrec_test.jsonl";
   ASSERT_TRUE(FlightRecorder::dump_to_file(path));
   EXPECT_EQ(Metrics::counter_value(Counter::kFlightRecDumps), 1u);

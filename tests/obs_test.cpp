@@ -11,11 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/simulation.hpp"
+#include "obs/domain.hpp"
+#include "obs/event_log.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
 
@@ -350,6 +356,108 @@ TEST_P(TracedRun, RobotCrashesProduceOrphanSpansAndClosedRoots) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, TracedRun,
+                         ::testing::Values(Algorithm::kCentralized,
+                                           Algorithm::kFixedDistributed,
+                                           Algorithm::kDynamicDistributed),
+                         [](const ::testing::TestParamInfo<Algorithm>& param_info) {
+                           return std::string(core::to_string(param_info.param));
+                         });
+
+// --- Integration: every sink agrees with the kind table --------------------------
+
+class SinkConsistency : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(SinkConsistency, EachKindReachesExactlyTheSinksItsRowNames) {
+  // Robot MTBF and MTTR (plus a manager crash and repair for the centralized
+  // algorithm) drive every failover-family kind. All four sinks are live.
+  auto cfg = base_config(GetParam(), 2026, 8000.0);
+  cfg.robot_faults.mtbf = 3000.0;
+  cfg.robot_faults.mttr = 600.0;
+  if (GetParam() == Algorithm::kCentralized) {
+    cfg.robot_faults.manager_crash_at = 2000.0;
+    cfg.robot_faults.manager_repair_at = 4000.0;
+  }
+  Metrics::reset();
+  Metrics::enable(true);
+  FlightRecorder::enable(1u << 16);
+  FlightRecorder::reset();
+  Simulation s(cfg);
+  EventLog log;
+  Tracer tracer;
+  s.attach_event_log(log);
+  s.attach_tracer(tracer);
+  s.run();
+  const MetricsSnapshot metrics = Metrics::snapshot();
+  const std::vector<FlightRecord> flight = FlightRecorder::dump();
+  const bool ring_kept_all = FlightRecorder::recorded() < FlightRecorder::capacity();
+  Metrics::enable(false);
+  Metrics::reset();
+  FlightRecorder::disable();
+  ASSERT_TRUE(ring_kept_all);
+
+  constexpr std::size_t kKindCount = static_cast<std::size_t>(Kind::kCount);
+  std::array<std::size_t, kKindCount> logged{};
+  std::array<std::size_t, kKindCount> flown{};
+  for (const Event& e : log.events()) ++logged[static_cast<std::size_t>(e.kind)];
+  for (const FlightRecord& r : flight) {
+    ASSERT_LT(r.kind, kKindCount);
+    ++flown[r.kind];
+  }
+  for (std::size_t k = 0; k < kKindCount; ++k) {
+    const KindRow& r = kKinds[k];
+    SCOPED_TRACE(std::string(r.name));
+    if ((r.sinks & kToLog) == 0) {
+      EXPECT_EQ(logged[k], 0u);
+    }
+    if ((r.sinks & kToFlight) == 0) {
+      EXPECT_EQ(flown[k], 0u);
+    }
+    if ((r.sinks & kToLog) != 0 && (r.sinks & kToFlight) != 0) {
+      EXPECT_EQ(logged[k], flown[k]);
+    }
+    if (r.counter != kNoCounter) {
+      const std::size_t seen = (r.sinks & kToLog) != 0 ? logged[k] : flown[k];
+      EXPECT_EQ(metrics.counters[static_cast<std::size_t>(r.counter)], seen);
+    }
+  }
+
+  // The run exercised the fault machinery this algorithm recovers with.
+  const auto seen = [&](Kind k) { return flown[static_cast<std::size_t>(k)]; };
+  EXPECT_GT(seen(Kind::kRobotFailure), 0u);
+  EXPECT_GT(seen(Kind::kRobotRepair), 0u);
+  EXPECT_GT(seen(Kind::kLeaseExpiry), 0u);
+  switch (GetParam()) {
+    case Algorithm::kCentralized:
+      EXPECT_GT(seen(Kind::kElection), 0u);
+      EXPECT_GT(seen(Kind::kFailover), 0u);
+      EXPECT_GT(seen(Kind::kHandback), 0u);
+      break;
+    case Algorithm::kFixedDistributed:
+      EXPECT_GT(seen(Kind::kAdoption), 0u);
+      EXPECT_GT(seen(Kind::kHandback), 0u);
+      break;
+    case Algorithm::kDynamicDistributed:
+      EXPECT_GT(seen(Kind::kFailover), 0u);
+      break;
+  }
+
+  // The span sink: no stray close, and a complete chain for every repaired
+  // failure of a slot that failed once (the oracle's rule: a stale task for
+  // an earlier failure of the same slot puts its travel on the older trace).
+  EXPECT_EQ(tracer.stray_closes(), 0u);
+  const auto& records = s.failure_log().records();
+  std::map<std::uint32_t, std::size_t> failures_per_slot;
+  for (const auto& rec : records) ++failures_per_slot[rec.node_id];
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (!records[i].repaired() || failures_per_slot[records[i].node_id] != 1) continue;
+    ++checked;
+    EXPECT_TRUE(tracer.has_complete_chain(i + 1)) << "failure " << i + 1;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SinkConsistency,
                          ::testing::Values(Algorithm::kCentralized,
                                            Algorithm::kFixedDistributed,
                                            Algorithm::kDynamicDistributed),

@@ -7,13 +7,17 @@
 #include <sstream>
 
 #include "core/simulation.hpp"
-#include "trace/event_log.hpp"
+#include "obs/event_log.hpp"
 #include "trace/format.hpp"
 #include "trace/log.hpp"
 #include "trace/svg.hpp"
 
 namespace sensrep::trace {
 namespace {
+
+using obs::Event;
+using obs::EventLog;
+using obs::Kind;
 
 // --- strfmt ------------------------------------------------------------------
 
@@ -102,11 +106,11 @@ TEST(SvgTest, PolygonFromVoronoiCell) {
 
 TEST(EventLogTest, RecordAndQuery) {
   EventLog log;
-  log.record({1.0, EventKind::kFailure, 7, std::nullopt, geometry::Vec2{1, 2}, {}});
-  log.record({2.0, EventKind::kDetection, 7, 9u, std::nullopt, 31.0});
-  log.record({3.0, EventKind::kFailure, 8, std::nullopt, std::nullopt, {}});
+  log.record({1.0, Kind::kFailure, 7, std::nullopt, geometry::Vec2{1, 2}, {}});
+  log.record({2.0, Kind::kDetection, 7, 9u, std::nullopt, 31.0});
+  log.record({3.0, Kind::kFailure, 8, std::nullopt, std::nullopt, {}});
   EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.of_kind(EventKind::kFailure).size(), 2u);
+  EXPECT_EQ(log.of_kind(Kind::kFailure).size(), 2u);
   EXPECT_EQ(log.about_node(7).size(), 2u);
   EXPECT_EQ(log.about_node(8).size(), 1u);
 }
@@ -114,7 +118,7 @@ TEST(EventLogTest, RecordAndQuery) {
 TEST(EventLogTest, JsonShapes) {
   Event e;
   e.time = 12.5;
-  e.kind = EventKind::kDispatch;
+  e.kind = Kind::kDispatch;
   e.node = 42;
   e.actor = 200;
   e.location = geometry::Vec2{3.0, 4.0};
@@ -124,14 +128,14 @@ TEST(EventLogTest, JsonShapes) {
             R"({"t":12.500,"kind":"dispatch","node":42,"actor":200,"x":3.00,"y":4.00,"value":2.000})");
   // Optionals absent -> fields omitted.
   Event bare;
-  bare.kind = EventKind::kFailure;
+  bare.kind = Kind::kFailure;
   EXPECT_EQ(EventLog::to_json(bare), R"({"t":0.000,"kind":"failure","node":0})");
 }
 
 TEST(EventLogTest, JsonlOneObjectPerLine) {
   EventLog log;
-  log.record({1.0, EventKind::kFailure, 1, std::nullopt, std::nullopt, {}});
-  log.record({2.0, EventKind::kReplacement, 1, 100u, std::nullopt, {}});
+  log.record({1.0, Kind::kFailure, 1, std::nullopt, std::nullopt, {}});
+  log.record({2.0, Kind::kReplacement, 1, 100u, std::nullopt, {}});
   std::ostringstream out;
   log.write_jsonl(out);
   const std::string text = out.str();
@@ -153,12 +157,12 @@ TEST(EventLogTest, FullSimulationProducesCoherentLifecycles) {
   s.field().fail_slot(5);
   s.run();
 
-  const auto failures = events.of_kind(EventKind::kFailure);
-  const auto detections = events.of_kind(EventKind::kDetection);
-  const auto reports = events.of_kind(EventKind::kReport);
-  const auto dispatches = events.of_kind(EventKind::kDispatch);
-  const auto replacements = events.of_kind(EventKind::kReplacement);
-  const auto moves = events.of_kind(EventKind::kRobotMove);
+  const auto failures = events.of_kind(Kind::kFailure);
+  const auto detections = events.of_kind(Kind::kDetection);
+  const auto reports = events.of_kind(Kind::kReport);
+  const auto dispatches = events.of_kind(Kind::kDispatch);
+  const auto replacements = events.of_kind(Kind::kReplacement);
+  const auto moves = events.of_kind(Kind::kRobotMove);
   ASSERT_EQ(failures.size(), 1u);
   ASSERT_EQ(detections.size(), 1u);
   ASSERT_EQ(reports.size(), 1u);

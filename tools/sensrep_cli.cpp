@@ -104,7 +104,7 @@
 #include "obs/tracer.hpp"
 #include "service/signal.hpp"
 #include "tools/args.hpp"
-#include "trace/event_log.hpp"
+#include "obs/event_log.hpp"
 #include "trace/log.hpp"
 
 namespace {
@@ -391,7 +391,7 @@ int main(int argc, char** argv) {
     }
 
     core::Simulation simulation(cfg);
-    trace::EventLog events;
+    obs::EventLog events;
     if (!trace_path.empty()) simulation.attach_event_log(events);
     obs::Tracer tracer;
     if (tracing) simulation.attach_tracer(tracer);

@@ -3,7 +3,9 @@
 //
 //   trace_check --chrome=trace.json    Chrome trace_event JSON (obs::Tracer)
 //   trace_check --spans=spans.jsonl    span JSON lines (obs::Tracer)
-//   trace_check --events=events.jsonl  event-log JSON lines (trace::EventLog)
+//   trace_check --events=events.jsonl  event-log JSON lines (obs::EventLog)
+//   trace_check --flightrec=dump.jsonl flight-recorder dump: consecutive seq
+//                                      (both: every kind is a domain kind)
 //   trace_check --telemetry=t.jsonl    telemetry JSON lines (service daemon):
 //                                      required keys, strictly increasing t,
 //                                      no duplicate top-level keys
@@ -27,12 +29,15 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/domain.hpp"
 #include "tools/args.hpp"
 
 namespace {
@@ -71,9 +76,30 @@ bool fail(const std::string& file, std::size_t line, const std::string& why) {
   return false;
 }
 
-/// One JSON object per line, each containing every key in `required`.
+/// The raw value text of top-level `"key":` in a one-line JSON object (up
+/// to the next ',' or '}'; quotes kept), or "" when the key is absent.
+std::string raw_value(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const auto at = line.find(needle);
+  if (at == std::string::npos) return "";
+  const auto start = at + needle.size();
+  return line.substr(start, line.find_first_of(",}", start) - start);
+}
+
+/// "kind" must name a row of the domain-event table (obs/domain.hpp).
+std::string known_kind(const std::string& line) {
+  const std::string kind = raw_value(line, "kind");
+  for (const auto& row : sensrep::obs::kKinds) {
+    if (kind == "\"" + std::string(row.name) + "\"") return "";
+  }
+  return "unknown kind " + kind;
+}
+
+/// One JSON object per line, each containing every key in `required` and
+/// passing `check` (which returns an error message, or "" when fine).
 bool check_jsonl(const std::string& path, const std::vector<std::string>& required,
-                 const char* what) {
+                 const char* what,
+                 const std::function<std::string(const std::string&)>& check = {}) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "trace_check: cannot open " << path << "\n";
@@ -93,10 +119,32 @@ bool check_jsonl(const std::string& path, const std::vector<std::string>& requir
         return fail(path, n, "missing key \"" + key + "\"");
       }
     }
+    if (check) {
+      const std::string why = check(line);
+      if (!why.empty()) return fail(path, n, why);
+    }
   }
   if (n == 0) return fail(path, 0, "empty file");
   std::cout << path << ": " << n << " " << what << " lines OK\n";
   return true;
+}
+
+/// Flight-recorder dump: known kinds, and `seq` consecutive line over line
+/// (the ring dumps its retained tail oldest-first without gaps).
+bool check_flightrec(const std::string& path) {
+  std::optional<unsigned long long> prev;
+  const auto check = [&prev](const std::string& line) -> std::string {
+    const std::string seq = raw_value(line, "seq");
+    char* end = nullptr;
+    const auto cur = std::strtoull(seq.c_str(), &end, 10);
+    if (seq.empty() || *end != '\0') return "seq is not an integer";
+    if (prev && cur != *prev + 1) {
+      return "seq " + seq + " does not follow " + std::to_string(*prev);
+    }
+    prev = cur;
+    return known_kind(line);
+  };
+  return check_jsonl(path, {"seq", "t", "kind", "a", "b"}, "flight-record", check);
 }
 
 /// Chrome trace_event JSON: {"traceEvents":[...]} with complete ("X", has
@@ -204,49 +252,24 @@ std::vector<std::string> top_level_keys(const std::string& line) {
 /// duplicate means the emitter printed a field twice — last-wins parsers
 /// would mask it).
 bool check_telemetry(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "trace_check: cannot open " << path << "\n";
-    std::exit(2);
-  }
-  const std::vector<std::string> required = {"t", "failures", "repaired", "pending",
-                                             "live_robots"};
-  std::string line;
-  std::size_t n = 0;
-  double last_t = 0.0;
-  bool have_last = false;
-  while (std::getline(in, line)) {
-    ++n;
-    if (line.empty()) continue;
-    if (line.front() != '{' || line.back() != '}') {
-      return fail(path, n, "line is not a JSON object");
-    }
-    if (!balanced_json(line)) return fail(path, n, "unbalanced JSON");
-    for (const auto& key : required) {
-      if (line.find("\"" + key + "\":") == std::string::npos) {
-        return fail(path, n, "missing key \"" + key + "\"");
-      }
-    }
+  std::optional<double> last_t;
+  const auto check = [&last_t](const std::string& line) -> std::string {
     const auto keys = top_level_keys(line);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       for (std::size_t j = i + 1; j < keys.size(); ++j) {
-        if (keys[i] == keys[j]) {
-          return fail(path, n, "duplicate top-level key \"" + keys[i] + "\"");
-        }
+        if (keys[i] == keys[j]) return "duplicate top-level key \"" + keys[i] + "\"";
       }
     }
-    const auto t_at = line.find("\"t\":");
-    const double t = std::strtod(line.c_str() + t_at + 4, nullptr);
-    if (have_last && !(t > last_t)) {
-      return fail(path, n, "t did not increase (" + std::to_string(t) +
-                               " after " + std::to_string(last_t) + ")");
+    const double t = std::strtod(raw_value(line, "t").c_str(), nullptr);
+    if (last_t && !(t > *last_t)) {
+      return "t did not increase (" + std::to_string(t) + " after " +
+             std::to_string(*last_t) + ")";
     }
     last_t = t;
-    have_last = true;
-  }
-  if (n == 0) return fail(path, 0, "empty file");
-  std::cout << path << ": " << n << " telemetry lines OK\n";
-  return true;
+    return "";
+  };
+  return check_jsonl(path, {"t", "failures", "repaired", "pending", "live_robots"},
+                     "telemetry", check);
 }
 
 bool valid_metric_name(const std::string& s) {
@@ -522,12 +545,14 @@ int main(int argc, char** argv) {
     const auto telemetry = args.get_string("telemetry", "");
     const auto prometheus = args.get_string("prometheus", "");
     const auto influx = args.get_string("influx", "");
+    const auto flightrec = args.get_string("flightrec", "");
     args.reject_unknown();
     if (chrome.empty() && spans.empty() && events.empty() && telemetry.empty() &&
-        prometheus.empty() && influx.empty()) {
+        prometheus.empty() && influx.empty() && flightrec.empty()) {
       std::cerr << "usage: trace_check [--chrome=trace.json] [--spans=spans.jsonl] "
                    "[--events=events.jsonl] [--telemetry=telemetry.jsonl] "
-                   "[--prometheus=scrape1[,scrape2,...]] [--influx=lines.txt]\n";
+                   "[--prometheus=scrape1[,scrape2,...]] [--influx=lines.txt] "
+                   "[--flightrec=flight.jsonl]\n";
       return 2;
     }
     bool ok = true;
@@ -536,8 +561,9 @@ int main(int argc, char** argv) {
       ok = check_jsonl(spans, {"trace", "stage", "node", "start"}, "span") && ok;
     }
     if (!events.empty()) {
-      ok = check_jsonl(events, {"t", "kind", "node"}, "event") && ok;
+      ok = check_jsonl(events, {"t", "kind", "node"}, "event", known_kind) && ok;
     }
+    if (!flightrec.empty()) ok = check_flightrec(flightrec) && ok;
     if (!telemetry.empty()) ok = check_telemetry(telemetry) && ok;
     if (!prometheus.empty()) {
       // Successive scrapes of one process: every counter series must be
