@@ -56,6 +56,8 @@ Medium::Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
     // model never perturbs the medium's existing backoff/loss draw streams.
     chaos_ = std::make_unique<chaos::LinkModel>(config_.chaos, rng_);
   }
+  frame_per_receiver_ = config_.model_collisions || config_.chaos.jitter.enabled ||
+                        config_.chaos.duplication.enabled;
 }
 
 void Medium::attach(NodeId id, Vec2 pos, double tx_range, ReceiveFn rx) {
@@ -137,17 +139,39 @@ sim::Duration Medium::frame_delay(const Packet& pkt) noexcept {
   return serialization_time(pkt) + config_.propagation_s + backoff;
 }
 
-void Medium::deliver_later(NodeId to, Packet pkt, NodeId from, sim::Duration delay,
-                           bool collidable) {
-  pkt.hops += 1;
+std::uint32_t Medium::new_frame(Packet pkt, NodeId from) {
+  std::uint32_t f;
+  if (free_frames_.empty()) {
+    f = static_cast<std::uint32_t>(frames_.size());
+    frames_.emplace_back();
+  } else {
+    f = free_frames_.back();
+    free_frames_.pop_back();
+  }
+  Frame& frame = frames_[f];
+  frame.pkt = std::move(pkt);
+  frame.pkt.hops += 1;
+  frame.from = from;
+  frame.to.clear();
+  frame.corrupted.reset();
+  return f;
+}
 
-  std::shared_ptr<bool> corrupted;
+void Medium::send_frame(std::uint32_t f, sim::Duration delay) {
+  sim_->in(delay, [this, f] { deliver_frame(f); });
+}
+
+void Medium::deliver_later(NodeId to, const Packet& pkt, NodeId from,
+                           sim::Duration delay, bool collidable) {
+  const std::uint32_t f = new_frame(pkt, from);
+  Frame& frame = frames_[f];
+  frame.to.push_back(to);
   if (config_.model_collisions && collidable) {
     // The frame occupies the receiver's channel for its serialization time,
     // ending at the delivery instant. Any overlapping frame corrupts both.
     const sim::SimTime end = sim_->now() + delay;
-    const sim::SimTime start = end - serialization_time(pkt);
-    corrupted = std::make_shared<bool>(false);
+    const sim::SimTime start = end - serialization_time(frame.pkt);
+    frame.corrupted = std::make_shared<bool>(false);
     auto& slots = pending_[to];
     // Prune expired windows while scanning for overlaps.
     std::erase_if(slots, [now = sim_->now()](const PendingArrival& a) {
@@ -156,25 +180,12 @@ void Medium::deliver_later(NodeId to, Packet pkt, NodeId from, sim::Duration del
     for (PendingArrival& a : slots) {
       if (a.start < end && start < a.end) {
         *a.corrupted = true;
-        *corrupted = true;
+        *frame.corrupted = true;
       }
     }
-    slots.push_back({start, end, corrupted});
+    slots.push_back({start, end, frame.corrupted});
   }
-
-  sim_->in(delay, [this, to, pkt = std::move(pkt), from, corrupted] {
-    if (corrupted && *corrupted) {
-      ++collisions_;
-      obs::Metrics::inc(obs::Counter::kNetCollisions);
-      return;
-    }
-    if (to >= nodes_.size()) return;
-    const Transceiver& r = nodes_[to];
-    if (!r.attached || !r.alive) return;  // detached or died in flight
-    ++deliveries_;
-    obs::Metrics::net_rx(cat_index(pkt));
-    if (r.rx) r.rx(pkt, from);
-  });
+  send_frame(f, delay);
 }
 
 bool Medium::jammed_now(NodeId id, const Transceiver& t) const noexcept {
@@ -199,6 +210,26 @@ void Medium::deliver_chaotic(NodeId to, const Packet& pkt, NodeId from,
   }
 }
 
+void Medium::deliver_frame(std::uint32_t f) {
+  // frames_ is a deque: a handler that sends grows it without moving this
+  // frame, and the frame is not recycled before the loop ends.
+  const Frame& frame = frames_[f];
+  if (frame.corrupted && *frame.corrupted) {
+    ++collisions_;
+    obs::Metrics::inc(obs::Counter::kNetCollisions);
+  } else {
+    for (const NodeId to : frame.to) {
+      if (to >= nodes_.size()) continue;
+      const Transceiver& r = nodes_[to];
+      if (!r.attached || !r.alive) continue;  // detached or died in flight
+      ++deliveries_;
+      obs::Metrics::net_rx(cat_index(frame.pkt));
+      if (r.rx) r.rx(frame.pkt, frame.from);
+    }
+  }
+  free_frames_.push_back(f);
+}
+
 void Medium::broadcast(NodeId sender, Packet pkt) {
   const Transceiver& s = get(sender);
   assert(s.alive && "dead node cannot transmit");
@@ -211,7 +242,10 @@ void Medium::broadcast(NodeId sender, Packet pkt) {
     return;
   }
   const sim::Duration delay = frame_delay(pkt);
-  for (const NodeId id : index_.within_radius(s.pos, s.tx_range)) {
+  // Survivors are filtered in place; the draws are taken at send time.
+  std::vector<NodeId> heard = index_.within_radius(s.pos, s.tx_range);
+  std::size_t kept = 0;
+  for (const NodeId id : heard) {
     if (id == sender) continue;
     const Transceiver& r = nodes_[id];
     if (!r.alive) continue;
@@ -231,8 +265,22 @@ void Medium::broadcast(NodeId sender, Packet pkt) {
         continue;
       }
     }
-    deliver_chaotic(id, pkt, sender, delay, /*collidable=*/true);
+    heard[kept++] = id;
   }
+  heard.resize(kept);
+  if (heard.empty()) return;
+  if (frame_per_receiver_) {
+    // Jitter and duplication draw from their own streams, so taking them
+    // after the filter leaves every draw as it was.
+    for (const NodeId id : heard) deliver_chaotic(id, pkt, sender, delay, /*collidable=*/true);
+    return;
+  }
+  // Every receiver shares the frame's arrival instant, so one event hands it
+  // to all of them: their per-receiver events would have held consecutive
+  // sequence numbers at that instant, leaving nothing to run in between.
+  const std::uint32_t f = new_frame(std::move(pkt), sender);
+  frames_[f].to = std::move(heard);
+  send_frame(f, delay);
 }
 
 bool Medium::unicast(NodeId sender, NodeId target, Packet pkt) {

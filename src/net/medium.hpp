@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -55,6 +57,13 @@ struct RadioConfig {
 /// the sender's transmission range; a unicast reaches only its target (with
 /// link-layer ARQ under loss). Every radio send increments the per-category
 /// transmission counter — the paper's messaging-overhead metric.
+///
+/// In-flight packets live in a pool of frames, each delivered by one
+/// simulator event: a broadcast frame carries all of its surviving receivers,
+/// so the queue holds one event per frame rather than one per receiver.
+/// Frames whose receivers land at different instants or collide one by one
+/// (collision model, chaos jitter or duplication) and unicasts are frames
+/// with a single receiver, delivered by the same function.
 class Medium {
  public:
   /// Called on packet reception: (packet, link-layer sender).
@@ -100,8 +109,9 @@ class Medium {
   /// Alive nodes within `radius` of `pos`, ascending id order.
   [[nodiscard]] std::vector<NodeId> nodes_near(geometry::Vec2 pos, double radius) const;
 
-  /// One-hop broadcast. Counts one transmission; schedules delivery to every
-  /// alive node in range after serialization + backoff delay.
+  /// One-hop broadcast. Counts one transmission; draws loss and chaos per
+  /// receiver now, and delivers to every surviving receiver still alive
+  /// after serialization + backoff delay, in ascending id order.
   void broadcast(NodeId sender, Packet pkt);
 
   /// Link-layer unicast with ARQ. Counts one transmission per attempt.
@@ -148,23 +158,49 @@ class Medium {
     ReceiveFn rx;
   };
 
+  /// A packet in flight: the packet one hop further along, its link-layer
+  /// sender and the receivers it reaches, in ascending id order.
+  struct Frame {
+    Packet pkt;
+    NodeId from = kNoNode;
+    std::vector<NodeId> to;
+    /// Set by an overlapping arrival (collision model only); shared with
+    /// the receiver's pending_ window, which may outlive the frame.
+    std::shared_ptr<bool> corrupted;
+  };
+
   [[nodiscard]] const Transceiver& get(NodeId id) const;
   [[nodiscard]] Transceiver& get(NodeId id);
   [[nodiscard]] sim::Duration frame_delay(const Packet& pkt) noexcept;
   [[nodiscard]] sim::Duration serialization_time(const Packet& pkt) const noexcept;
-  void deliver_later(NodeId to, Packet pkt, NodeId from, sim::Duration delay,
-                     bool collidable = false);
 
-  /// Delivery front-end applying the chaos duplication/jitter models; falls
-  /// through to deliver_later() unchanged when chaos is off.
+  /// Takes a pool entry for `pkt` (hops incremented) sent by `from`, with no
+  /// receivers yet.
+  [[nodiscard]] std::uint32_t new_frame(Packet pkt, NodeId from);
+
+  /// Schedules frame `f`'s delivery after `delay`. The event captures only
+  /// the medium and the frame index.
+  void send_frame(std::uint32_t f, sim::Duration delay);
+
+  /// Sends a frame with the single receiver `to`; a `collidable` frame
+  /// enters the collision model.
+  void deliver_later(NodeId to, const Packet& pkt, NodeId from, sim::Duration delay,
+                     bool collidable);
+
+  /// Single-receiver front-end applying the chaos duplication/jitter
+  /// models; falls through to deliver_later() unchanged when chaos is off.
   void deliver_chaotic(NodeId to, const Packet& pkt, NodeId from,
                        sim::Duration delay, bool collidable = false);
+
+  /// Hands frame `f` to each receiver still attached and alive, then
+  /// returns it to the pool. Broadcasts and unicasts alike end here.
+  void deliver_frame(std::uint32_t f);
 
   /// True when `id` is jammed by an active partition window right now.
   [[nodiscard]] bool jammed_now(NodeId id, const Transceiver& t) const noexcept;
 
-  /// A frame's on-air interval at one receiver, with a corruption flag
-  /// shared between the scheduler and the delivery event.
+  /// A frame's on-air interval at one receiver, with the frame's corruption
+  /// flag.
   struct PendingArrival {
     sim::SimTime start;
     sim::SimTime end;
@@ -181,6 +217,13 @@ class Medium {
   /// instead of hashing per receiver.
   std::vector<Transceiver> nodes_;
   std::unordered_map<NodeId, std::vector<PendingArrival>> pending_;
+  /// Frame pool. A deque, so a handler that sends while a frame is being
+  /// delivered can grow the pool without moving the frame in flight.
+  std::deque<Frame> frames_;
+  std::vector<std::uint32_t> free_frames_;
+  /// Receivers of one broadcast land at different instants or collide
+  /// separately, so each gets its own single-receiver frame.
+  bool frame_per_receiver_ = false;
   std::uint64_t deliveries_ = 0;
   std::uint64_t collisions_ = 0;
   std::unique_ptr<chaos::LinkModel> chaos_;  // null unless chaos configured

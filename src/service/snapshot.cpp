@@ -121,6 +121,10 @@ Snapshot Snapshot::read(std::istream& in) {
   Snapshot snap;
   std::string line;
   if (!std::getline(in, line) || line != kMagic) {
+    if (line.starts_with("sensrep-snapshot ")) {
+      throw std::runtime_error("snapshot: unsupported format '" + line + "' (want '" +
+                               std::string(kMagic) + "'; take a new snapshot)");
+    }
     throw std::runtime_error("snapshot: bad magic (want '" + std::string(kMagic) + "')");
   }
   bool saw_digest = false;
@@ -148,13 +152,6 @@ Snapshot Snapshot::read(std::istream& in) {
       snap.options.loss = parse_double(rest, "loss");
     } else if (key == "spontaneous") {
       snap.options.spontaneous_failures = parse_bool(rest, "spontaneous");
-    } else if (key == "shards") {
-      // Older snapshots may record the shard count of a since-removed
-      // parallel schedule. Any count replayed the same state, so it is
-      // validated and ignored.
-      if (parse_u64(rest, "shards") == 0) {
-        throw std::runtime_error("snapshot: bad shards '" + rest + "'");
-      }
     } else if (key == "telemetry-period") {
       snap.options.telemetry_period = parse_double(rest, "telemetry-period");
     } else if (key == "retention-window") {

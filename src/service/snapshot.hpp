@@ -32,7 +32,9 @@ struct JournalEntry {
 /// throwing) that the replayed run reconverged bit-for-bit on the one that
 /// was snapshotted. docs/SERVICE.md §4 specifies the text format.
 struct Snapshot {
-  static constexpr const char* kMagic = "sensrep-snapshot v1";
+  /// Format version. v2: the digest's event counts come from one delivery
+  /// event per broadcast frame, so a v1 image cannot replay to its digest.
+  static constexpr const char* kMagic = "sensrep-snapshot v2";
 
   DaemonOptions options;
   std::vector<JournalEntry> journal;
@@ -42,7 +44,8 @@ struct Snapshot {
   void write(std::ostream& out) const;
   [[nodiscard]] bool save(const std::string& path) const;
 
-  /// Throws std::runtime_error on bad magic, unknown keys, or malformed
+  /// Throws std::runtime_error on bad magic (naming the wanted version when
+  /// the header is another format version), unknown keys, or malformed
   /// values — a snapshot either loads exactly or not at all.
   static Snapshot read(std::istream& in);
   static Snapshot load(const std::string& path);

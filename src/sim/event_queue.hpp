@@ -36,10 +36,9 @@ struct EventId {
 /// Storage (the default, pooled mode) is allocation-free on the hot path:
 /// callbacks live in slab-allocated slots recycled through a free list, and
 /// a callable whose size fits kInlineBytes — which covers every capture the
-/// simulation schedules, including the medium's in-flight Packet deliveries —
-/// is constructed in place, never on the heap. EventIds carry (slot index,
-/// generation); a recycled slot bumps its generation so stale ids can never
-/// cancel or observe a later tenant.
+/// simulation schedules — is constructed in place, never on the heap.
+/// EventIds carry (slot index, generation); a recycled slot bumps its
+/// generation so stale ids can never cancel or observe a later tenant.
 ///
 /// Cancellation is lazy: cancel() destroys the callback immediately
 /// (dropping captured resources right away, exactly like the old map erase)
@@ -53,11 +52,13 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Inline storage per slot; sized so the largest hot-path capture (a
-  /// Medium delivery closure holding a 160-byte Packet by value plus the
-  /// collision token) still fits. Bigger callables fall back to one boxed
-  /// heap allocation.
-  static constexpr std::size_t kInlineBytes = 208;
+  /// Inline storage per slot. Packets wait in the medium's frame pool, so
+  /// no scheduled closure carries one: the largest hot-path captures are a
+  /// few pointers and ids, a std::function (32 bytes) or a shared_ptr plus
+  /// a little state. 48 bytes holds all of them and keeps a slot (with its
+  /// bookkeeping) at 96 bytes. Bigger callables fall back to one boxed heap
+  /// allocation, counted by boxed_stores().
+  static constexpr std::size_t kInlineBytes = 48;
 
   EventQueue() = default;
   ~EventQueue();
@@ -153,6 +154,10 @@ class EventQueue {
     return chunks_.size() * kChunkSlots;
   }
 
+  /// Callables ever stored boxed on the heap because they outgrew
+  /// kInlineBytes. The simulation's own captures all fit, so this stays 0.
+  [[nodiscard]] std::uint64_t boxed_stores() const noexcept { return boxed_stores_; }
+
  private:
   /// An in-flight (time, key) pair being pushed or sifted. The resident heap
   /// itself is stored structure-of-arrays (heap_times_ / heap_keys_): the
@@ -215,6 +220,7 @@ class EventQueue {
     std::uint32_t next_free = kNoSlot;
     SlotState state = SlotState::kFree;
   };
+  static_assert(sizeof(Slot) <= 96, "a slot should stay within 1.5 cache lines");
 
   template <typename Fn>
   struct InlineOps {
@@ -260,6 +266,7 @@ class EventQueue {
         ::new (static_cast<void*>(s.buf)) Fn*(boxed);
         s.invoke = &BoxedOps<Fn>::invoke;
         s.destroy = &BoxedOps<Fn>::destroy;
+        ++boxed_stores_;
       }
     } catch (...) {
       recycle_slot(index);  // nothing constructed; just rejoin the free list
@@ -300,6 +307,7 @@ class EventQueue {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_count_ = 0;
+  std::uint64_t boxed_stores_ = 0;
 };
 
 }  // namespace sensrep::sim

@@ -110,6 +110,9 @@ class Simulator {
   /// Total events executed since construction (diagnostics).
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
+  /// Scheduled callables too big for an inline queue slot (diagnostics).
+  [[nodiscard]] std::uint64_t boxed_stores() const noexcept { return queue_.boxed_stores(); }
+
  private:
   struct PeriodicState {
     EventId current;        // id of the currently-armed occurrence

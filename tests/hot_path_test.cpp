@@ -9,7 +9,8 @@
 //     slip — double destroy, stale generation, inline-buffer overrun —
 //     faults);
 //  2. unit tests of the pool's own contract: inline vs boxed storage,
-//     capture destruction timing, slot reuse generations;
+//     capture destruction timing, slot reuse generations, and that no
+//     simulation callback needs boxed storage;
 //
 // and simulations stay byte-identical across runner worker counts (run
 // under TSAN in CI).
@@ -52,6 +53,16 @@ TEST(EventPool, OversizedCallableFallsBackToBoxedStorage) {
   q.schedule(1.0, [payload, out] { *out = payload[0] + payload[63]; });
   q.pop().callback();
   EXPECT_DOUBLE_EQ(sum, 3.0);
+}
+
+TEST(EventPool, BoxedStoresCountsOnlyOversizedCallables) {
+  EventQueue q;
+  std::array<char, EventQueue::kInlineBytes> fits{};
+  std::array<char, EventQueue::kInlineBytes + 1> too_big{};
+  q.schedule(1.0, [fits] { (void)fits; });
+  EXPECT_EQ(q.boxed_stores(), 0u);
+  q.schedule(2.0, [too_big] { (void)too_big; });
+  EXPECT_EQ(q.boxed_stores(), 1u);
 }
 
 TEST(EventPool, CancelDestroysCapturesImmediately) {
@@ -201,6 +212,58 @@ TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesReferenceExactly) {
     EXPECT_EQ(pooled_log, reference_log) << "round " << round;
   }
 }
+
+// Every capture the simulation schedules fits an inline slot. A future
+// closure that outgrows kInlineBytes fails here instead of silently costing
+// a heap allocation per event.
+class InlineSlots : public ::testing::TestWithParam<core::Algorithm> {};
+
+TEST_P(InlineSlots, NoSimulationCallbackIsBoxed) {
+  core::SimulationConfig base;
+  base.algorithm = GetParam();
+  base.robots = 4;
+  base.sim_duration = 3000.0;
+  base.seed = 2026;
+
+  core::SimulationConfig lossy = base;
+  lossy.radio.loss_probability = 0.1;
+  lossy.field.reliable_reports = true;
+
+  core::SimulationConfig faulty = base;
+  faulty.robot_faults.mtbf = 1500.0;
+  faulty.robot_faults.mttr = 500.0;
+
+  core::SimulationConfig chaotic = base;
+  chaotic.field.reliable_reports = true;
+  chaotic.radio.model_collisions = true;
+  chaotic.radio.chaos.burst = {true, 0.08, 0.3, 0.5, 0.0};
+  chaotic.radio.chaos.duplication.enabled = true;
+  chaotic.radio.chaos.duplication.probability = 0.2;
+  chaotic.radio.chaos.jitter.enabled = true;
+  chaotic.radio.chaos.jitter.probability = 0.2;
+  chaotic.radio.chaos.jitter.max_extra_s = 4e-3;
+  chaos::PartitionWindow blackout;
+  blackout.start_s = 1000.0;
+  blackout.end_s = 1500.0;
+  chaotic.radio.chaos.partitions.push_back(blackout);
+  chaotic.robot_faults.crashes.push_back(robot::ScheduledCrash{0, 1200.0});
+  chaotic.robot_faults.repairs.push_back(robot::ScheduledRepair{0, 2000.0});
+
+  for (const auto* cfg : {&lossy, &faulty, &chaotic}) {
+    core::Simulation sim(*cfg);
+    sim.run();
+    EXPECT_GT(sim.simulator().executed(), 0u);
+    EXPECT_EQ(sim.simulator().boxed_stores(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, InlineSlots,
+                         ::testing::Values(core::Algorithm::kCentralized,
+                                           core::Algorithm::kFixedDistributed,
+                                           core::Algorithm::kDynamicDistributed),
+                         [](const ::testing::TestParamInfo<core::Algorithm>& param_info) {
+                           return std::string(core::to_string(param_info.param));
+                         });
 
 // The parallel runner must keep its byte-identical-across-worker-counts
 // guarantee: the event pool and the SoA mirrors are per-simulation state, so

@@ -490,6 +490,160 @@ TEST(MediumCollisionTest, UnicastsAreProtected) {
   EXPECT_EQ(medium.collisions(), 0u);
 }
 
+// --- Frame delivery ------------------------------------------------------------
+//
+// A broadcast frame is one simulator event that hands the packet to each
+// surviving receiver in ascending id order. Per-receiver events would have
+// shared its instant and held consecutive sequence numbers, so these tests
+// pin what makes the two designs equivalent: liveness is re-checked per
+// receiver, and nothing a handler schedules runs before the frame is done.
+
+/// A sender (id 1) at the origin and receivers 2..(1 + n) in its range.
+struct FrameRig {
+  explicit FrameRig(RadioConfig cfg = {}, int receivers = 3)
+      : medium(sim, sim::Rng(11), cfg, counters, kArea, 50.0) {
+    medium.attach(1, {0, 0}, 50.0, {});
+    for (NodeId id = 2; id < static_cast<NodeId>(2 + receivers); ++id) {
+      medium.attach(id, {10, static_cast<double>(id)}, 50.0,
+                    [this, id](const Packet& p, NodeId from) {
+                      log.push_back(id);
+                      if (auto it = on_rx.find(id); it != on_rx.end()) it->second(p, from);
+                    });
+    }
+  }
+
+  static Packet beacon() {
+    Packet p;
+    p.type = PacketType::kBeacon;
+    p.src = 1;
+    p.dst = kBroadcastId;
+    return p;
+  }
+
+  sim::Simulator sim;
+  metrics::TransmissionCounters counters;
+  Medium medium;
+  std::vector<NodeId> log;  // receptions in order; kNoNode marks a timer
+  std::map<NodeId, Medium::ReceiveFn> on_rx;
+};
+
+TEST(MediumFrameTest, ReceiverKilledOrDetachedMidFrameMissesIt) {
+  FrameRig rig({}, 4);  // receivers 2, 3, 4, 5
+  rig.on_rx[2] = [&](const Packet&, NodeId) {
+    rig.medium.set_alive(4, false);
+    rig.medium.detach(5);
+  };
+  rig.medium.broadcast(1, FrameRig::beacon());
+  rig.sim.run_all();
+  EXPECT_EQ(rig.log, (std::vector<NodeId>{2, 3}));
+  EXPECT_EQ(rig.medium.deliveries(), 2u);
+}
+
+TEST(MediumFrameTest, ZeroDelayEventFromAReceiverRunsAfterTheWholeFrame) {
+  FrameRig rig;
+  rig.on_rx[2] = [&](const Packet&, NodeId) {
+    rig.sim.in(0.0, [&] { rig.log.push_back(kNoNode); });
+  };
+  rig.medium.broadcast(1, FrameRig::beacon());
+  rig.sim.run_all();
+  EXPECT_EQ(rig.log, (std::vector<NodeId>{2, 3, 4, kNoNode}));
+}
+
+TEST(MediumFrameTest, ReentrantBroadcastsGrowingThePoolLeaveTheFrameInFlightIntact) {
+  FrameRig rig;
+  std::vector<std::pair<NodeId, NodeId>> heard;  // (receiver, packet src)
+  bool relayed = false;
+  const auto record = [&](NodeId self) {
+    return [&, self](const Packet& p, NodeId from) {
+      EXPECT_EQ(from, p.src);
+      EXPECT_EQ(p.hops, 1u);
+      heard.emplace_back(self, p.src);
+    };
+  };
+  rig.on_rx[3] = record(3);
+  rig.on_rx[4] = record(4);
+  rig.on_rx[2] = [&](const Packet& p, NodeId) {
+    if (relayed) return;
+    relayed = true;
+    // Each echo takes a fresh pool entry while the original frame is still
+    // being delivered. Under ASan, a pool that moved the frame in flight as
+    // it grew would fault on the reads below and in the later receivers.
+    for (int i = 0; i < 200; ++i) {
+      Packet echo = p;
+      echo.src = 2;
+      echo.hops = 0;
+      rig.medium.broadcast(2, echo);
+    }
+    EXPECT_EQ(p.src, 1u);
+    EXPECT_EQ(p.hops, 1u);
+  };
+  rig.medium.broadcast(1, FrameRig::beacon());
+  rig.sim.run_all();
+  // The original frame reaches 3 and 4 first; then each echo does.
+  ASSERT_EQ(heard.size(), 2u + 2u * 200u);
+  EXPECT_EQ(heard[0], (std::pair<NodeId, NodeId>{3, 1}));
+  EXPECT_EQ(heard[1], (std::pair<NodeId, NodeId>{4, 1}));
+  for (std::size_t i = 2; i < heard.size(); ++i) EXPECT_EQ(heard[i].second, 2u);
+}
+
+TEST(MediumFrameTest, LossSurvivorsMatchAReferenceFilterOnTheSameSeed) {
+  RadioConfig cfg;
+  cfg.loss_probability = 0.3;
+  FrameRig rig(cfg, 12);  // receivers 2..13
+  rig.medium.set_alive(7, false);  // skipped before any loss draw
+  // The medium's stream, replayed: one backoff draw per frame, then one loss
+  // draw per live candidate in ascending id order.
+  sim::Rng reference(11);
+  for (int frame = 0; frame < 30; ++frame) {
+    (void)reference.uniform(0.0, cfg.max_backoff_s);
+    std::vector<NodeId> want;
+    for (NodeId id = 2; id <= 13; ++id) {
+      if (id == 7) continue;
+      if (!reference.chance(cfg.loss_probability)) want.push_back(id);
+    }
+    rig.log.clear();
+    rig.medium.broadcast(1, FrameRig::beacon());
+    rig.sim.run_all();
+    EXPECT_EQ(rig.log, want) << "frame " << frame;
+  }
+}
+
+TEST(MediumFrameTest, OneEventPerFrameUnlessReceiversNeedTheirOwn) {
+  const auto events_for = [](RadioConfig cfg) {
+    FrameRig rig(cfg, 5);
+    rig.medium.broadcast(1, FrameRig::beacon());
+    rig.sim.run_all();
+    EXPECT_GE(rig.log.size(), 5u);  // every receiver heard the frame
+    return rig.sim.executed();
+  };
+  EXPECT_EQ(events_for({}), 1u);
+
+  RadioConfig burst;  // chaos that draws per receiver but keeps one instant
+  burst.chaos.burst.enabled = true;
+  burst.chaos.burst.loss_bad = 0.0;
+  EXPECT_EQ(events_for(burst), 1u);
+
+  RadioConfig collisions;
+  collisions.model_collisions = true;
+  EXPECT_EQ(events_for(collisions), 5u);
+
+  RadioConfig jitter;
+  jitter.chaos.jitter.enabled = true;
+  jitter.chaos.jitter.probability = 1.0;
+  EXPECT_EQ(events_for(jitter), 5u);
+
+  RadioConfig dup;
+  dup.chaos.duplication.enabled = true;
+  dup.chaos.duplication.probability = 1.0;
+  EXPECT_EQ(events_for(dup), 10u);  // each receiver's copy and its duplicate
+
+  FrameRig rig;
+  EXPECT_TRUE(rig.medium.unicast(1, 3, FrameRig::beacon()));
+  rig.sim.run_all();
+  EXPECT_EQ(rig.log, (std::vector<NodeId>{3}));
+  EXPECT_EQ(rig.sim.executed(), 1u);
+}
+
 // --- Packet ------------------------------------------------------------------------
 
 TEST(PacketTest, SizeDependsOnType) {

@@ -485,13 +485,36 @@ TEST(Snapshot, RejectsGarbage) {
     EXPECT_THROW(service::Snapshot::read(in), std::runtime_error);
   }
   {
-    std::istringstream in("sensrep-snapshot v1\nfrobnicate 3\nend\n");
+    std::istringstream in(std::string(service::Snapshot::kMagic) + "\nfrobnicate 3\nend\n");
     EXPECT_THROW(service::Snapshot::read(in), std::runtime_error);
   }
   {
     // Truncated: no digest/end.
-    std::istringstream in("sensrep-snapshot v1\nrobots 4\n");
+    std::istringstream in(std::string(service::Snapshot::kMagic) + "\nrobots 4\n");
     EXPECT_THROW(service::Snapshot::read(in), std::runtime_error);
+  }
+}
+
+// v1 snapshots digest a run whose event counts predate one-event-per-frame
+// delivery; they are refused up front, naming the wanted version, instead of
+// failing the digest check after a full replay.
+TEST(Snapshot, RejectsTheOldFormatVersionByName) {
+  service::reset_shutdown();
+  service::Daemon daemon(daemon_options(core::Algorithm::kCentralized));
+  daemon.handle_line("advance 100");
+  std::ostringstream out;
+  daemon.make_snapshot().write(out);
+  std::string text = out.str();
+  ASSERT_EQ(text.rfind(service::Snapshot::kMagic, 0), 0u);
+  text.replace(0, std::string(service::Snapshot::kMagic).size(), "sensrep-snapshot v1");
+  std::istringstream in(text);
+  try {
+    (void)service::Snapshot::read(in);
+    FAIL() << "a v1 snapshot was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sensrep-snapshot v1"), std::string::npos) << what;
+    EXPECT_NE(what.find(service::Snapshot::kMagic), std::string::npos) << what;
   }
 }
 
@@ -503,36 +526,6 @@ TEST(Snapshot, RestoreVerifiesTheDigestAndThrowsOnMismatch) {
   service::Snapshot snap = daemon.make_snapshot();
   snap.digest.transmissions += 1;  // tamper
   EXPECT_THROW({ service::Daemon restored(snap); }, std::runtime_error);
-}
-
-TEST(Snapshot, ShardCountLineIsAcceptedAndIgnored) {
-  service::reset_shutdown();
-  service::Daemon daemon(daemon_options(core::Algorithm::kDynamicDistributed));
-  daemon.handle_line("fail 5");
-  daemon.handle_line("advance 300");
-  std::stringstream text;
-  daemon.make_snapshot().write(text);
-  const std::string plain = text.str();
-  EXPECT_EQ(plain.find("shards"), std::string::npos);
-
-  // Older snapshots may carry the shard count of a parallel schedule that
-  // replayed the same state at any count; it restores to the same digest.
-  const auto at = plain.find("telemetry-period ");
-  ASSERT_NE(at, std::string::npos);
-  std::string sharded = plain;
-  sharded.insert(at, "shards 4\n");
-  std::istringstream plain_in(plain);
-  std::istringstream sharded_in(sharded);
-  const service::Daemon from_plain(service::Snapshot::read(plain_in));
-  const service::Daemon from_sharded(service::Snapshot::read(sharded_in));
-  EXPECT_EQ(from_sharded.status_line(), from_plain.status_line());
-  EXPECT_EQ(from_sharded.status_line(), daemon.status_line());
-
-  // A zero shard count was never valid.
-  std::string zero = plain;
-  zero.insert(at, "shards 0\n");
-  std::istringstream zero_in(zero);
-  EXPECT_THROW(service::Snapshot::read(zero_in), std::runtime_error);
 }
 
 // --- the kill-and-restore differential --------------------------------------
