@@ -46,11 +46,8 @@ void DataCollection::refresh_sink_neighbors() {
 
 void DataCollection::start_sensor_timer(NodeId sensor) {
   const double phase = rng_.uniform(0.0, config_.report_period);
-  auto& simulator = sim_->simulator();
-  simulator.in(phase, [this, sensor, &simulator] {
-    generate_report(sensor);
-    simulator.every(config_.report_period, [this, sensor] { generate_report(sensor); });
-  });
+  sim_->simulator().every(phase, config_.report_period,
+                          [this, sensor] { generate_report(sensor); });
 }
 
 void DataCollection::generate_report(NodeId sensor) {

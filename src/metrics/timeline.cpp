@@ -1,8 +1,8 @@
 #include "metrics/timeline.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace sensrep::metrics {
 
@@ -75,11 +75,9 @@ void TimeSeries::write_csv(std::ostream& out, std::string_view name) const {
 
 sim::EventId sample_periodically(sim::Simulator& simulator, sim::Duration period,
                                  TimeSeries& series, std::function<double()> probe) {
-  auto probe_fn = std::make_shared<std::function<double()>>(std::move(probe));
-  TimeSeries* series_ptr = &series;
-  sim::Simulator* sim_ptr = &simulator;
-  return simulator.every(period, [sim_ptr, series_ptr, probe_fn] {
-    series_ptr->add(sim_ptr->now(), (*probe_fn)());
+  return simulator.every(period, [sim_ptr = &simulator, series_ptr = &series,
+                                  probe = std::move(probe)] {
+    series_ptr->add(sim_ptr->now(), probe());
   });
 }
 

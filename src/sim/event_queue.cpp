@@ -21,9 +21,12 @@ bool EventQueue::cancel(EventId id) noexcept {
   const auto index = static_cast<std::uint32_t>(id.value >> 32);
   if (index >= pool_slots()) return false;
   Slot& s = slot_at(index);
-  if (s.state != SlotState::kLive || s.gen != static_cast<std::uint32_t>(id.value)) {
-    return false;
+  if (s.gen != static_cast<std::uint32_t>(id.value)) return false;
+  if (s.state == SlotState::kPopped && s.period > 0.0) {
+    s.period = 0.0;  // a series cancelled from its own run: release, don't re-arm
+    return true;
   }
+  if (s.state != SlotState::kLive) return false;
   s.destroy(s);
   s.invoke = nullptr;
   s.destroy = nullptr;
@@ -66,6 +69,21 @@ EventQueue::Popped::~Popped() {
 void EventQueue::Popped::callback() {
   Slot& s = queue_->slot_at(slot_);
   s.invoke(s);
+  if (s.period > 0.0) {
+    queue_->rearm(slot_, time + s.period);
+    slot_ = kNoSlot;  // the heap owns the slot again
+  }
+}
+
+void EventQueue::rearm(std::uint32_t index, SimTime t) {
+  if (!is_valid_time(t)) throw std::invalid_argument("EventQueue::schedule: invalid time");
+  const obs::ScopedTimer probe(obs::Probe::kEventPush);
+  obs::Metrics::inc(obs::Counter::kEventsScheduled);
+  Slot& s = slot_at(index);
+  s.seq = next_seq_++;
+  s.state = SlotState::kLive;
+  ++live_count_;
+  heap_push(HeapEntry{t, (static_cast<std::uint64_t>(index) << 32) | s.gen});
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -94,6 +112,7 @@ void EventQueue::recycle_slot(std::uint32_t index) noexcept {
   s.invoke = nullptr;
   s.destroy = nullptr;
   s.seq = 0;
+  s.period = 0.0;
   if (++s.gen == 0) s.gen = 1;  // generation 0 would make EventId::value 0 (invalid)
   s.state = SlotState::kFree;
   s.next_free = free_head_;

@@ -45,19 +45,26 @@ struct EventId {
 /// and parks the slot until the heap entry is discarded — the slot keeps the
 /// sequence number a parked entry still tie-breaks with. To keep
 /// lazily-cancelled entries from outnumbering live ones unboundedly under
-/// cancel/reschedule churn (lease auto-tune, every() timers), the heap is
-/// compacted in place whenever dead entries exceed live ones.
+/// cancel/reschedule churn (acked report retry timers, the timers of failed
+/// sensors and robots), the heap is compacted in place whenever dead entries
+/// exceed live ones.
+///
+/// A periodic event (schedule() with period > 0) is one slot for its whole
+/// life: after each run, Popped::callback() pushes the same slot back at
+/// time + period with the next sequence number — exactly what a callback
+/// re-scheduling itself as its last act would get — so its EventId never
+/// changes and cancel() stops the series, also from inside its own run.
 ///
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
   /// Inline storage per slot. Packets wait in the medium's frame pool, so
-  /// no scheduled closure carries one: the largest hot-path captures are a
-  /// few pointers and ids, a std::function (32 bytes) or a shared_ptr plus
-  /// a little state. 48 bytes holds all of them and keeps a slot (with its
-  /// bookkeeping) at 96 bytes. Bigger callables fall back to one boxed heap
-  /// allocation, counted by boxed_stores().
+  /// no scheduled closure carries one: the largest captures are a few
+  /// pointers and ids, or a std::function (32 bytes) plus two pointers
+  /// (sampled timelines). 48 bytes holds all of them and keeps a slot (with
+  /// its bookkeeping) at 96 bytes. Bigger callables fall back to one boxed
+  /// heap allocation, counted by boxed_stores().
   static constexpr std::size_t kInlineBytes = 48;
 
   EventQueue() = default;
@@ -66,11 +73,12 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `cb` at absolute time `t`. Requires is_valid_time(t) and, for
-  /// callables testable for null (std::function, function pointers), a
-  /// non-null callable.
+  /// Schedules `cb` at absolute time `t`, and with `period` > 0 again every
+  /// `period` seconds after each run until cancelled. Requires
+  /// is_valid_time(t) and, for callables testable for null (std::function,
+  /// function pointers), a non-null callable.
   template <typename F>
-  EventId schedule(SimTime t, F&& cb) {
+  EventId schedule(SimTime t, F&& cb, Duration period = 0.0) {
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_v<Fn&>, "EventQueue callback must be invocable");
     if (!is_valid_time(t)) throw std::invalid_argument("EventQueue::schedule: invalid time");
@@ -81,7 +89,7 @@ class EventQueue {
     }
     const obs::ScopedTimer probe(obs::Probe::kEventPush);
     obs::Metrics::inc(obs::Counter::kEventsScheduled);
-    const EventId id{store(std::forward<F>(cb), next_seq_++)};
+    const EventId id{store(std::forward<F>(cb), next_seq_++, period)};
     heap_push(HeapEntry{t, id.value});
     return id;
   }
@@ -89,7 +97,9 @@ class EventQueue {
   /// Cancels a pending event. Returns false if the event already fired,
   /// was already cancelled, or the id was never issued. The callback (and
   /// everything it captured) is destroyed immediately; the heap entry is
-  /// discarded lazily, bounded by compaction.
+  /// discarded lazily, bounded by compaction. Called on a periodic event
+  /// from inside its own run, it ends the series: the slot is released
+  /// instead of re-armed.
   bool cancel(EventId id) noexcept;
 
   /// True if there is at least one live (non-cancelled) event pending.
@@ -122,7 +132,8 @@ class EventQueue {
     SimTime time = 0.0;
     EventId id{};
 
-    /// Invokes the popped event's callback.
+    /// Invokes the popped event's callback; a periodic event is then re-armed
+    /// in its slot (which this handle no longer owns).
     void callback();
 
    private:
@@ -216,6 +227,7 @@ class EventQueue {
     void (*invoke)(Slot&) = nullptr;
     void (*destroy)(Slot&) = nullptr;
     std::uint64_t seq = 0;
+    Duration period = 0.0;  // > 0: re-armed at time + period after each run
     std::uint32_t gen = 1;
     std::uint32_t next_free = kNoSlot;
     SlotState state = SlotState::kFree;
@@ -250,7 +262,7 @@ class EventQueue {
   /// Type-erases `cb` into a pooled slot; returns the EventId value
   /// ((slot index << 32) | generation, never 0 since generations start at 1).
   template <typename F>
-  std::uint64_t store(F&& cb, std::uint64_t seq) {
+  std::uint64_t store(F&& cb, std::uint64_t seq, Duration period) {
     using Fn = std::decay_t<F>;
     const std::uint32_t index = acquire_slot();
     Slot& s = slot_at(index);
@@ -273,6 +285,7 @@ class EventQueue {
       throw;
     }
     s.seq = seq;
+    s.period = period;
     s.state = SlotState::kLive;
     ++live_count_;
     return (static_cast<std::uint64_t>(index) << 32) | s.gen;
@@ -284,6 +297,8 @@ class EventQueue {
   void recycle_slot(std::uint32_t index) noexcept;
   /// Popped-handle release: destroys the callable, then recycles.
   void release_popped(std::uint32_t index) noexcept;
+  /// Pushes a popped periodic slot back at `t` as a fresh schedule.
+  void rearm(std::uint32_t index, SimTime t);
 
   [[nodiscard]] bool is_live(std::uint64_t key) const noexcept;
 

@@ -2,23 +2,17 @@
 
 namespace sensrep::sim {
 
-bool Simulator::cancel(EventId id) noexcept {
-  if (auto it = periodic_.find(id.value); it != periodic_.end()) {
-    auto state = it->second;
-    const bool was_live = !state->cancelled;
-    state->cancelled = true;
-    queue_.cancel(state->current);
-    periodic_.erase(it);
-    return was_live;
-  }
-  return queue_.cancel(id);
+std::uint64_t Simulator::run_until(SimTime horizon) {
+  const std::uint64_t n = run(horizon, UINT64_MAX);
+  if (now_ < horizon && !stop_requested_ && !interrupted_) now_ = horizon;
+  return n;
 }
 
-std::uint64_t Simulator::run_until(SimTime horizon) {
+std::uint64_t Simulator::run(SimTime horizon, std::uint64_t limit) {
   std::uint64_t n = 0;
   stop_requested_ = false;
   interrupted_ = false;
-  while (!queue_.empty() && !stop_requested_) {
+  while (n < limit && !queue_.empty() && !stop_requested_) {
     if (queue_.next_time() > horizon) break;
     auto ev = queue_.pop();
     now_ = ev.time;
@@ -30,35 +24,7 @@ std::uint64_t Simulator::run_until(SimTime horizon) {
       break;
     }
   }
-  if (now_ < horizon && !stop_requested_ && !interrupted_) now_ = horizon;
   return n;
-}
-
-std::uint64_t Simulator::run_all() {
-  std::uint64_t n = 0;
-  stop_requested_ = false;
-  interrupted_ = false;
-  while (!queue_.empty() && !stop_requested_) {
-    auto ev = queue_.pop();
-    now_ = ev.time;
-    ev.callback();
-    ++executed_;
-    ++n;
-    if (interrupt_ && n % interrupt_stride_ == 0 && interrupt_()) {
-      interrupted_ = true;
-      break;
-    }
-  }
-  return n;
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto ev = queue_.pop();
-  now_ = ev.time;
-  ev.callback();
-  ++executed_;
-  return true;
 }
 
 }  // namespace sensrep::sim

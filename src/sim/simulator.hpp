@@ -2,10 +2,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
-#include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/event_queue.hpp"
@@ -53,26 +50,21 @@ class Simulator {
   /// identifies the whole series: cancelling it stops all future occurrences,
   /// including when called from inside the callback itself.
   template <typename F>
-  EventId every(Duration period, F cb) {
-    if (period <= 0.0) throw std::invalid_argument("Simulator::every: period must be positive");
-    // The series owns itself through the Rearm capture, living as long as an
-    // occurrence is pending; cancellation drops the last reference.
-    struct Series {
-      Simulator* sim;
-      Duration period;
-      std::shared_ptr<PeriodicState> state;
-      std::decay_t<F> body;
-    };
-    auto series = std::make_shared<Series>(
-        Series{this, period, std::make_shared<PeriodicState>(), std::move(cb)});
-    series->state->current = queue_.schedule(now_ + period, Rearm<Series>{series});
-    const EventId head = series->state->current;
-    periodic_.emplace(head.value, series->state);
-    return head;
+  EventId every(Duration period, F&& cb) {
+    return every(period, period, std::forward<F>(cb));
+  }
+
+  /// As every(period, cb), but the first occurrence runs at now()+first.
+  /// Requires first >= 0.
+  template <typename F>
+  EventId every(Duration first, Duration period, F&& cb) {
+    if (!(period > 0.0)) throw std::invalid_argument("Simulator::every: period must be positive");
+    if (first < 0.0) throw std::invalid_argument("Simulator::every: negative first delay");
+    return queue_.schedule(now_ + first, std::forward<F>(cb), period);
   }
 
   /// Cancels a pending one-shot event or a periodic series.
-  bool cancel(EventId id) noexcept;
+  bool cancel(EventId id) noexcept { return queue_.cancel(id); }
 
   /// Runs events until the queue drains or the clock passes `horizon`.
   /// Events scheduled exactly at `horizon` still run, and the clock lands on
@@ -80,10 +72,12 @@ class Simulator {
   std::uint64_t run_until(SimTime horizon);
 
   /// Runs every pending event to queue exhaustion. Returns events executed.
-  std::uint64_t run_all();
+  std::uint64_t run_all() { return run(kNever, UINT64_MAX); }
 
-  /// Executes at most one pending event. Returns false if the queue is empty.
-  bool step();
+  /// Executes at most one pending event, as a run of length one (it resets
+  /// stop() and interrupted() like the other run calls). Returns false if
+  /// the queue is empty.
+  bool step() { return run(kNever, 1) == 1; }
 
   /// Requests that run_until()/run_all() return after the current event.
   void stop() noexcept { stop_requested_ = true; }
@@ -101,7 +95,8 @@ class Simulator {
   }
 
   /// True when the most recent run_until()/run_all() returned early because
-  /// the interrupt probe fired (reset at the start of each run_* call).
+  /// the interrupt probe fired (reset at the start of each run_* and step()
+  /// call).
   [[nodiscard]] bool interrupted() const noexcept { return interrupted_; }
 
   /// Live pending events (diagnostics).
@@ -114,28 +109,11 @@ class Simulator {
   [[nodiscard]] std::uint64_t boxed_stores() const noexcept { return queue_.boxed_stores(); }
 
  private:
-  struct PeriodicState {
-    EventId current;        // id of the currently-armed occurrence
-    bool cancelled = false; // set by cancel(); stops re-arming
-  };
-
-  /// One armed occurrence of an every() series: runs the body, then schedules
-  /// the next occurrence. A single shared_ptr capture, so it always stores
-  /// inline in the pooled queue.
-  template <typename Series>
-  struct Rearm {
-    std::shared_ptr<Series> series;
-    void operator()() const {
-      series->body();
-      if (series->state->cancelled) return;  // cancel() ran inside the callback
-      series->state->current = series->sim->queue_.schedule(
-          series->sim->now_ + series->period, Rearm{series});
-    }
-  };
+  /// The one run loop: executes up to `limit` events at or before `horizon`,
+  /// honouring stop() and the interrupt probe. Returns events executed.
+  std::uint64_t run(SimTime horizon, std::uint64_t limit);
 
   EventQueue queue_;
-  // series-head id -> state, so cancel(head) works across re-arms
-  std::unordered_map<std::uint64_t, std::shared_ptr<PeriodicState>> periodic_;
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;

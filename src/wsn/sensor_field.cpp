@@ -103,11 +103,8 @@ void SensorField::activate_clocks(SensorNode& n) {
   // synchronized with their predecessors.
   const double phase = rng_.uniform(0.0, config_.beacon_period);
   SensorNode* node_ptr = &n;
-  n.tick_timer_ = sim_->in(phase, [this, node_ptr] {
-    node_ptr->tick();
-    node_ptr->tick_timer_ =
-        sim_->every(config_.beacon_period, [node_ptr] { node_ptr->tick(); });
-  });
+  n.tick_timer_ =
+      sim_->every(phase, config_.beacon_period, [node_ptr] { node_ptr->tick(); });
   schedule_lifetime(n);
 }
 

@@ -63,6 +63,22 @@ TEST(ArgsTest, BadNumbersThrow) {
   auto args = make({"--robots=many", "--loss=often"});
   EXPECT_THROW((void)args.get_u64("robots", 0), std::invalid_argument);
   EXPECT_THROW((void)args.get_double("loss", 0.0), std::invalid_argument);
+
+  // Trailing garbage, signs and empty values are errors, not a parsed prefix.
+  auto partial = make({"--robots=4x", "--duration=100s", "--seed=-1", "--jobs=-4",
+                       "--sensors= 5", "--count=+3", "--empty=", "--loss=0.1.2"});
+  for (const char* flag : {"robots", "seed", "jobs", "sensors", "count", "empty"}) {
+    EXPECT_THROW((void)partial.get_u64(flag, 0), std::invalid_argument) << flag;
+  }
+  EXPECT_THROW((void)partial.get_double("duration", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)partial.get_double("loss", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)partial.get_double("empty", 0.0), std::invalid_argument);
+
+  // Whole tokens still parse.
+  auto good = make({"--robots=4", "--duration=1e3", "--seed=18446744073709551615"});
+  EXPECT_EQ(good.get_u64("robots", 0), 4u);
+  EXPECT_DOUBLE_EQ(good.get_double("duration", 0.0), 1000.0);
+  EXPECT_EQ(good.get_u64("seed", 0), 18446744073709551615ull);
 }
 
 TEST(ArgsTest, RangeCheckedDoublesAcceptInBoundsValues) {

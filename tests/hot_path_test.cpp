@@ -2,12 +2,13 @@
 // (slab-allocated slots, 4-ary structure-of-arrays heap, lazy cancellation).
 // It is checked two ways:
 //
-//  1. a randomized differential property suite driving identical
-//     schedule/cancel/pop sequences through the pooled queue and a small
-//     std::priority_queue (time, seq) reference, requiring identical pop
-//     order and timestamps (run under ASAN in CI, where any slot-lifetime
-//     slip — double destroy, stale generation, inline-buffer overrun —
-//     faults);
+//  1. randomized differential property suites: identical
+//     schedule/cancel/pop sequences (one-shots and periodic series) through
+//     the pooled queue and a small std::priority_queue (time, seq)
+//     reference, requiring identical pop order and timestamps; and
+//     Simulator::every() against a re-scheduling every() built on in()
+//     (run under ASAN in CI, where any slot-lifetime slip — double destroy,
+//     stale generation, inline-buffer overrun — faults);
 //  2. unit tests of the pool's own contract: inline vs boxed storage,
 //     capture destruction timing, slot reuse generations, and that no
 //     simulation callback needs boxed storage;
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -34,6 +36,7 @@
 #include "runner/sink.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace sensrep::sim {
 namespace {
@@ -80,8 +83,8 @@ TEST(EventPool, CancelDestroysCapturesImmediately) {
 
 TEST(EventPool, PoppedHandleKeepsCaptureAliveThroughInvocation) {
   // The run loop invokes the callback from the slot, then releases the slot
-  // when the Popped handle dies. A callback that reschedules itself (every()
-  // timers capture their own series state) must survive its own invocation.
+  // when the Popped handle dies, so a callback's captures (which it may
+  // still be using as it returns) survive its own invocation.
   EventQueue q;
   auto token = std::make_shared<int>(0);
   std::weak_ptr<int> watch = token;
@@ -108,18 +111,26 @@ TEST(EventPool, SlotsAreReusedNotAccumulated) {
 // --- differential property suite: pooled vs reference -----------------------
 
 /// The queue's ordering contract and nothing else: events pop in (time,
-/// schedule order); cancel succeeds once, for a pending event only.
+/// schedule order); cancel succeeds once, for a pending event only. A
+/// periodic event keeps its handle and, once popped, is pushed back at
+/// time + period with a fresh sequence number.
 class ReferenceQueue {
  public:
-  std::uint64_t schedule(double t, int tag) {
-    const std::uint64_t seq = next_seq_++;
-    heap_.push({t, seq, tag});
-    live_.insert(seq);
-    return seq;
+  std::size_t schedule(double t, int tag, double period = 0.0) {
+    const std::size_t handle = events_.size();
+    events_.push_back({next_seq_, tag, period, true});
+    heap_.push({t, next_seq_++, handle});
+    ++live_;
+    return handle;
   }
-  bool cancel(std::uint64_t seq) { return live_.erase(seq) != 0; }
-  [[nodiscard]] bool empty() const { return live_.empty(); }
-  [[nodiscard]] std::size_t size() const { return live_.size(); }
+  bool cancel(std::size_t handle) {
+    if (!events_[handle].live) return false;
+    events_[handle].live = false;
+    --live_;
+    return true;
+  }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] std::size_t size() const { return live_; }
   double next_time() {
     skim();
     return heap_.top().time;
@@ -129,24 +140,43 @@ class ReferenceQueue {
     skim();
     const Entry e = heap_.top();
     heap_.pop();
-    live_.erase(e.seq);
-    return {e.time, e.tag};
+    Event& ev = events_[e.handle];
+    if (ev.period > 0.0) {
+      ev.seq = next_seq_;
+      heap_.push({e.time + ev.period, next_seq_++, e.handle});
+    } else {
+      ev.live = false;
+      --live_;
+    }
+    return {e.time, ev.tag};
   }
 
  private:
+  struct Event {
+    std::uint64_t seq;  // of its current heap entry
+    int tag;
+    double period;
+    bool live;
+  };
   struct Entry {
     double time;
     std::uint64_t seq;
-    int tag;
+    std::size_t handle;
     bool operator>(const Entry& o) const {
       return time != o.time ? time > o.time : seq > o.seq;
     }
   };
   void skim() {
-    while (!live_.contains(heap_.top().seq)) heap_.pop();
+    for (;;) {
+      const Entry& top = heap_.top();
+      const Event& ev = events_[top.handle];
+      if (ev.live && ev.seq == top.seq) return;
+      heap_.pop();
+    }
   }
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::set<std::uint64_t> live_;
+  std::vector<Event> events_;
+  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 
@@ -164,8 +194,9 @@ TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesReferenceExactly) {
     // in both queues.
     struct Pending {
       EventId id;
-      std::uint64_t ref;
+      std::size_t ref;
       int tag;
+      bool periodic;
     };
     std::vector<Pending> pending;
     int next_tag = 0;
@@ -173,10 +204,19 @@ TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesReferenceExactly) {
     for (int op = 0; op < 600; ++op) {
       const double roll = rng.uniform01();
       if (roll < 0.55 || pending.empty()) {
-        const double t = rng.uniform01() * 100.0;
+        double t = rng.uniform01() * 100.0;
+        // Some periodic series; whole-second starts and periods put their
+        // occurrences on ties with each other, which only the sequence
+        // numbers taken at each re-arm break.
+        double period = 0.0;
+        if (rng.chance(0.15)) {
+          t = std::floor(t);
+          period = static_cast<double>(rng.between(1, 20));
+        }
         const int tag = next_tag++;
-        const EventId a = pooled.schedule(t, [&pooled_log, tag] { pooled_log.push_back(tag); });
-        pending.push_back({a, reference.schedule(t, tag), tag});
+        const EventId a =
+            pooled.schedule(t, [&pooled_log, tag] { pooled_log.push_back(tag); }, period);
+        pending.push_back({a, reference.schedule(t, tag, period), tag, period > 0.0});
       } else if (roll < 0.75) {
         const std::size_t pick = rng.below(pending.size());
         EXPECT_EQ(pooled.cancel(pending[pick].id), reference.cancel(pending[pick].ref));
@@ -192,13 +232,19 @@ TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesReferenceExactly) {
         reference_log.push_back(tag);
         ASSERT_FALSE(pooled_log.empty());
         ASSERT_EQ(pooled_log.back(), tag);
-        std::erase_if(pending, [tag](const Pending& p) { return p.tag == tag; });
+        std::erase_if(pending, [tag](const Pending& p) { return p.tag == tag && !p.periodic; });
       }
       ASSERT_EQ(pooled.size(), reference.size()) << "round " << round << " op " << op;
     }
 
-    // Drain both queues; the tails must match one-for-one, and with no more
-    // schedules interleaved the drain must be nondecreasing in time.
+    // Stop the live series, then drain both queues; the tails must match
+    // one-for-one, and with no more schedules interleaved the drain must be
+    // nondecreasing in time.
+    for (const Pending& p : pending) {
+      if (p.periodic) {
+        EXPECT_EQ(pooled.cancel(p.id), reference.cancel(p.ref));
+      }
+    }
     double last = -1.0;
     while (!pooled.empty()) {
       ASSERT_FALSE(reference.empty());
@@ -210,6 +256,111 @@ TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesReferenceExactly) {
     }
     EXPECT_TRUE(reference.empty());
     EXPECT_EQ(pooled_log, reference_log) << "round " << round;
+  }
+}
+
+/// The every() the simulator had before periodic events lived in their
+/// queue slot, built on the public one-shot API: each occurrence runs the
+/// body, then — unless cancelled meanwhile — schedules the next one.
+class ReferencePeriodic {
+ public:
+  explicit ReferencePeriodic(Simulator& sim) : sim_(&sim) {}
+
+  std::size_t every(Duration first, Duration period, std::function<void()> body) {
+    series_.push_back(std::make_unique<Series>(Series{{}, period, std::move(body), false}));
+    Series* s = series_.back().get();
+    s->current = sim_->in(first, [this, s] { fire(s); });
+    return series_.size() - 1;
+  }
+  bool cancel(std::size_t handle) {
+    Series& s = *series_[handle];
+    if (s.cancelled) return false;
+    s.cancelled = true;
+    sim_->cancel(s.current);
+    return true;
+  }
+
+ private:
+  struct Series {
+    EventId current;
+    Duration period;
+    std::function<void()> body;
+    bool cancelled;
+  };
+  void fire(Series* s) {
+    s->body();
+    if (!s->cancelled) s->current = sim_->in(s->period, [this, s] { fire(s); });
+  }
+  Simulator* sim_;
+  std::vector<std::unique_ptr<Series>> series_;
+};
+
+/// Runs one randomized script of one-shots, series and cancels (some from
+/// inside the cancelled series' own run) and logs every execution and every
+/// cancel result. Whole-second delays make same-instant ties common.
+template <bool kReference>
+std::vector<std::pair<double, int>> run_periodic_script(std::uint64_t seed) {
+  Simulator sim;
+  ReferencePeriodic reference(sim);
+  Rng rng(seed);
+  std::vector<std::pair<double, int>> log;
+  struct Handle {
+    EventId id;
+    std::size_t ref;
+    bool periodic;
+  };
+  std::vector<Handle> handles;  // by tag
+  std::function<void(int)> act;
+
+  const auto start = [&] {
+    const int tag = static_cast<int>(handles.size());
+    const auto first = static_cast<Duration>(rng.between(0, 6));
+    const auto body = [&act, tag] { act(tag); };
+    if (!rng.chance(0.4)) {
+      handles.push_back({sim.in(first, body), 0, false});
+      return;
+    }
+    const auto period = static_cast<Duration>(rng.between(1, 5));
+    if constexpr (kReference) {
+      handles.push_back({{}, reference.every(first, period, body), true});
+    } else {
+      handles.push_back({sim.every(first, period, body), 0, true});
+    }
+  };
+  const auto cancel = [&](const Handle& h) {
+    if constexpr (kReference) {
+      if (h.periodic) return reference.cancel(h.ref);
+    }
+    return sim.cancel(h.id);
+  };
+  act = [&](int tag) {
+    log.emplace_back(sim.now(), tag);
+    const double roll = rng.uniform01();
+    if (roll < 0.45 && handles.size() < 300) {
+      start();
+    } else if (roll < 0.53) {
+      const bool ok = cancel(handles[rng.below(handles.size())]);
+      log.emplace_back(sim.now(), ok ? -1 : -2);
+    } else if (roll < 0.56) {
+      const bool ok = cancel(handles[static_cast<std::size_t>(tag)]);  // itself
+      log.emplace_back(sim.now(), ok ? -3 : -4);
+    }
+  };
+
+  for (int i = 0; i < 16; ++i) start();
+  sim.run_until(150.0);
+  log.emplace_back(sim.now(), static_cast<int>(sim.pending()));
+  return log;
+}
+
+// The in-slot re-arm must reproduce the re-scheduling every() exactly:
+// same executions, same order, same cancel outcomes, same pending count.
+TEST(PeriodicDifferential, InSlotRearmMatchesReschedulingReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto got = run_periodic_script<false>(seed);
+    const auto want = run_periodic_script<true>(seed);
+    EXPECT_GT(got.size(), 500u) << "seed " << seed;
+    ASSERT_EQ(got, want) << "seed " << seed;
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -225,6 +227,91 @@ TEST(SimulatorTest, CancelPeriodicFromInsideItsOwnCallback) {
   s.run_until(10.0);
   EXPECT_EQ(count, 2);
   EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(SimulatorTest, PeriodicWithFirstDelayFiresAtFirstThenEveryPeriod) {
+  Simulator s;
+  std::vector<double> times;
+  const EventId series = s.every(0.5, 2.0, [&] { times.push_back(s.now()); });
+  s.run_until(7.0);
+  EXPECT_TRUE(s.cancel(series));
+  EXPECT_EQ(times, (std::vector<double>{0.5, 2.5, 4.5, 6.5}));
+
+  std::vector<double> immediate;
+  s.every(0.0, 1.0, [&] { immediate.push_back(s.now()); });
+  s.run_until(9.0);
+  EXPECT_EQ(immediate, (std::vector<double>{7.0, 8.0, 9.0}));
+
+  EXPECT_THROW(s.every(-1.0, 1.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.every(1.0, 0.0, [] {}), std::invalid_argument);
+}
+
+TEST(SimulatorTest, OneShotScheduledByBodyForNextOccurrenceRunsFirst) {
+  // The next occurrence takes its sequence number after everything its body
+  // scheduled, so a one-shot at the same instant wins the tie.
+  Simulator s;
+  std::vector<std::pair<double, int>> log;
+  const EventId series = s.every(1.0, [&] {
+    log.emplace_back(s.now(), 0);
+    if (log.size() == 1) s.at(s.now() + 1.0, [&] { log.emplace_back(s.now(), 1); });
+  });
+  s.run_until(2.5);
+  s.cancel(series);
+  EXPECT_EQ(log, (std::vector<std::pair<double, int>>{{1.0, 0}, {2.0, 1}, {2.0, 0}}));
+}
+
+TEST(SimulatorTest, PeriodicCancelledByAnotherEventStops) {
+  Simulator s;
+  int count = 0;
+  const EventId series = s.every(1.0, [&] { ++count; });
+  bool cancelled = false;
+  s.at(3.5, [&] { cancelled = s.cancel(series); });
+  s.run_until(10.0);
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_FALSE(s.cancel(series));
+}
+
+TEST(SimulatorTest, StaleSeriesIdCannotCancelLaterTenantOfItsSlot) {
+  Simulator s;
+  // Cancelled from inside its own run: the slot is released right away.
+  EventId own{};
+  own = s.every(1.0, [&] { s.cancel(own); });
+  s.run_until(1.0);
+  bool ran = false;
+  const EventId tenant = s.in(1.0, [&] { ran = true; });
+  ASSERT_EQ(tenant.value >> 32, own.value >> 32);  // same slot, new generation
+  EXPECT_FALSE(s.cancel(own));
+  s.run_until(3.0);
+  EXPECT_TRUE(ran);
+
+  // Cancelled from outside: the slot is released once its heap entry is
+  // skimmed off.
+  const EventId series = s.every(1.0, [] {});
+  s.run_until(4.5);
+  EXPECT_TRUE(s.cancel(series));
+  s.at(6.0, [] {});
+  s.run_until(5.5);  // skims the dead entry at 5.0
+  bool later_ran = false;
+  const EventId later = s.in(1.0, [&] { later_ran = true; });
+  ASSERT_EQ(later.value >> 32, series.value >> 32);
+  EXPECT_FALSE(s.cancel(series));
+  s.run_until(10.0);
+  EXPECT_TRUE(later_ran);
+}
+
+TEST(SimulatorTest, ThrowingPeriodicCallbackIsNotRearmed) {
+  Simulator s;
+  int count = 0;
+  const EventId series = s.every(1.0, [&] {
+    if (++count == 2) throw std::runtime_error("tick failed");
+  });
+  EXPECT_THROW(s.run_until(10.0), std::runtime_error);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_FALSE(s.cancel(series));
+  s.run_until(10.0);
+  EXPECT_EQ(count, 2);
 }
 
 TEST(SimulatorTest, StopAbortsRun) {

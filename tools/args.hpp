@@ -58,11 +58,15 @@ class Args {
     return v ? *v : std::move(fallback);
   }
 
+  /// The whole value must parse: "100s" is an error, not 100.
   double get_double(const std::string& name, double fallback) {
     const auto v = get(name);
     if (!v) return fallback;
     try {
-      return std::stod(*v);
+      std::size_t used = 0;
+      const double d = std::stod(*v, &used);
+      if (used != v->size()) throw std::invalid_argument(*v);
+      return d;
     } catch (const std::exception&) {
       throw std::invalid_argument("--" + name + ": expected a number, got '" + *v + "'");
     }
@@ -81,13 +85,20 @@ class Args {
     return v;
   }
 
+  /// The whole value must be decimal digits: "4x" and "-1" are errors
+  /// (std::stoull alone would read 4 and wrap -1 to 2^64-1).
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) {
     const auto v = get(name);
     if (!v) return fallback;
     try {
-      return std::stoull(*v);
+      if (v->empty() || (*v)[0] < '0' || (*v)[0] > '9') throw std::invalid_argument(*v);
+      std::size_t used = 0;
+      const std::uint64_t u = std::stoull(*v, &used);
+      if (used != v->size()) throw std::invalid_argument(*v);
+      return u;
     } catch (const std::exception&) {
-      throw std::invalid_argument("--" + name + ": expected an integer, got '" + *v + "'");
+      throw std::invalid_argument("--" + name + ": expected a non-negative integer, got '" +
+                                  *v + "'");
     }
   }
 
