@@ -26,8 +26,7 @@ ManagerNode::ManagerNode(NodeId id, geometry::Vec2 pos, double tx_range,
 
 void ManagerNode::refresh_neighbor_table() {
   table_.clear();
-  for (const NodeId n : medium_->nodes_near(pos_, tx_range_)) {
-    if (n == id_) continue;
+  for (const NodeId n : medium_->neighbors_of(id_)) {
     table_.upsert(n, medium_->position_of(n));
   }
 }

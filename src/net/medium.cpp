@@ -1,7 +1,11 @@
 #include "net/medium.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -49,7 +53,8 @@ Medium::Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
       rng_(rng),
       config_(config),
       counters_(&counters),
-      index_(bounds, cell_size_m) {
+      static_index_(bounds, cell_size_m),
+      mobile_index_(bounds, cell_size_m) {
   config_.validate();
   if (config_.chaos.any_enabled()) {
     // fork() is a pure function of (seed, name): instantiating the chaos
@@ -60,18 +65,35 @@ Medium::Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
                         config_.chaos.duplication.enabled;
 }
 
-void Medium::attach(NodeId id, Vec2 pos, double tx_range, ReceiveFn rx) {
+void Medium::attach(NodeId id, Vec2 pos, double tx_range, ReceiveFn rx,
+                    Mobility mobility) {
   if (!is_real_node(id)) throw std::invalid_argument("Medium::attach: reserved id");
-  if (tx_range <= 0.0) throw std::invalid_argument("Medium::attach: non-positive range");
-  if (id >= nodes_.size()) nodes_.resize(id + 1);
+  // Negated so that a NaN range is rejected too.
+  if (!(tx_range > 0.0)) throw std::invalid_argument("Medium::attach: non-positive range");
+  if (id >= nodes_.size()) {
+    nodes_.resize(id + 1);
+    marks_.resize(nodes_.size() / 64 + 1);
+  }
   if (nodes_[id].attached) throw std::invalid_argument("Medium::attach: duplicate id");
-  nodes_[id] = Transceiver{pos, tx_range, true, true, std::move(rx)};
-  index_.insert(id, pos);
+  const bool mobile = mobility == Mobility::kMobile;
+  nodes_[id] = Transceiver{pos, tx_range, true, true, mobile, std::move(rx)};
+  if (mobile) {
+    mobile_index_.insert(id, pos);
+  } else {
+    static_index_.insert(id, pos);
+    lists_stale_ = true;
+  }
 }
 
 void Medium::detach(NodeId id) {
-  if (id < nodes_.size()) nodes_[id] = Transceiver{};
-  index_.remove(id);
+  if (id >= nodes_.size() || !nodes_[id].attached) return;
+  if (nodes_[id].mobile) {
+    mobile_index_.remove(id);
+  } else {
+    static_index_.remove(id);
+    lists_stale_ = true;
+  }
+  nodes_[id] = Transceiver{};
 }
 
 const Medium::Transceiver& Medium::get(NodeId id) const {
@@ -89,8 +111,17 @@ Medium::Transceiver& Medium::get(NodeId id) {
 }
 
 void Medium::set_position(NodeId id, Vec2 pos) {
-  get(id).pos = pos;
-  index_.move(id, pos);
+  Transceiver& t = get(id);
+  t.pos = pos;
+  if (t.mobile) {
+    mobile_index_.move(id, pos);
+    return;
+  }
+  // A static node that moves leaves every list for the mobile grid.
+  t.mobile = true;
+  static_index_.remove(id);
+  mobile_index_.insert(id, pos);
+  lists_stale_ = true;
 }
 
 void Medium::set_alive(NodeId id, bool alive_flag) { get(id).alive = alive_flag; }
@@ -111,22 +142,80 @@ bool Medium::in_range(NodeId sender, NodeId receiver) const {
   return geometry::distance2(s.pos, r.pos) <= s.tx_range * s.tx_range;
 }
 
-std::vector<NodeId> Medium::neighbors_of(NodeId sender) const {
-  const Transceiver& s = get(sender);
+void Medium::build_lists() const {
+  list_begin_.assign(nodes_.size() + 1, 0);
+  list_ids_.clear();
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    list_begin_[id] = static_cast<std::uint32_t>(list_ids_.size());
+    const Transceiver& t = nodes_[id];
+    if (!t.attached || t.mobile) continue;
+    const auto first = static_cast<std::ptrdiff_t>(list_ids_.size());
+    const double r2 = t.tx_range * t.tx_range;
+    static_index_.for_each_candidate(t.pos, t.tx_range, [&](NodeId m, Vec2 p) {
+      if (m != id && geometry::distance2(p, t.pos) <= r2) list_ids_.push_back(m);
+    });
+    // Candidates arrive cell-major.
+    std::sort(list_ids_.begin() + first, list_ids_.end());
+  }
+  list_begin_[nodes_.size()] = static_cast<std::uint32_t>(list_ids_.size());
+  lists_stale_ = false;
+}
+
+std::span<const NodeId> Medium::static_receivers(NodeId id) const {
+  if (get(id).mobile) throw std::invalid_argument("Medium::static_receivers: mobile node");
+  if (lists_stale_) build_lists();
+  return {list_ids_.data() + list_begin_[id], list_ids_.data() + list_begin_[id + 1]};
+}
+
+std::vector<NodeId> Medium::collect_near(Vec2 p, double r) const {
   std::vector<NodeId> out;
-  for (const NodeId id : index_.within_radius(s.pos, s.tx_range)) {
-    if (id == sender) continue;
-    if (!nodes_[id].alive) continue;
-    out.push_back(id);
+  const double r2 = r * r;
+  std::size_t lo = std::numeric_limits<std::size_t>::max();
+  std::size_t hi = 0;
+  const auto mark = [&](NodeId id, Vec2 q) {
+    if (geometry::distance2(q, p) > r2) return;
+    const std::size_t w = id / 64;
+    marks_[w] |= std::uint64_t{1} << (id % 64);
+    lo = std::min(lo, w);
+    hi = std::max(hi, w);
+  };
+  static_index_.for_each_candidate(p, r, mark);
+  mobile_index_.for_each_candidate(p, r, mark);
+  for (std::size_t w = lo; w <= hi; ++w) {
+    for (std::uint64_t bits = std::exchange(marks_[w], 0); bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
+    }
   }
   return out;
 }
 
-std::vector<NodeId> Medium::nodes_near(Vec2 pos, double radius) const {
-  std::vector<NodeId> out;
-  for (const NodeId id : index_.within_radius(pos, radius)) {
-    if (nodes_[id].alive) out.push_back(id);
+std::vector<NodeId> Medium::in_range_of(NodeId sender, const Transceiver& s) const {
+  if (s.mobile) {
+    std::vector<NodeId> out = collect_near(s.pos, s.tx_range);
+    std::erase(out, sender);
+    return out;
   }
+  const std::span<const NodeId> list = static_receivers(sender);
+  // Usually empty, and then allocates nothing.
+  const std::vector<NodeId> mobile = mobile_index_.within_radius(s.pos, s.tx_range);
+  std::vector<NodeId> out;
+  out.reserve(list.size() + mobile.size());
+  std::merge(list.begin(), list.end(), mobile.begin(), mobile.end(), std::back_inserter(out));
+  return out;
+}
+
+std::vector<NodeId> Medium::neighbors_of(NodeId sender) const {
+  std::vector<NodeId> out = in_range_of(sender, get(sender));
+  std::erase_if(out, [this](NodeId id) { return !nodes_[id].alive; });
+  return out;
+}
+
+std::vector<NodeId> Medium::nodes_near(Vec2 pos, double radius) const {
+  if (!(radius >= 0.0)) {
+    throw std::invalid_argument("Medium::nodes_near: radius must be non-negative");
+  }
+  std::vector<NodeId> out = collect_near(pos, radius);
+  std::erase_if(out, [this](NodeId id) { return !nodes_[id].alive; });
   return out;
 }
 
@@ -243,10 +332,9 @@ void Medium::broadcast(NodeId sender, Packet pkt) {
   }
   const sim::Duration delay = frame_delay(pkt);
   // Survivors are filtered in place; the draws are taken at send time.
-  std::vector<NodeId> heard = index_.within_radius(s.pos, s.tx_range);
+  std::vector<NodeId> heard = in_range_of(sender, s);
   std::size_t kept = 0;
   for (const NodeId id : heard) {
-    if (id == sender) continue;
     const Transceiver& r = nodes_[id];
     if (!r.alive) continue;
     if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +51,10 @@ struct RadioConfig {
   void validate() const;
 };
 
+/// Whether a transceiver moves. Declared at attach: sensors and the manager
+/// are static, robots are mobile.
+enum class Mobility : std::uint8_t { kStatic, kMobile };
+
 /// The shared wireless medium.
 ///
 /// Owns the ground-truth position/range/liveness of every transceiver and
@@ -64,6 +69,13 @@ struct RadioConfig {
 /// Frames whose receivers land at different instants or collide one by one
 /// (collision model, chaos jitter or duplication) and unicasts are frames
 /// with a single receiver, delivered by the same function.
+///
+/// Static transceivers never move, so each one's in-range static receivers
+/// are kept as a precomputed list, built on first use and rebuilt after a
+/// static node is attached, detached or moved. Mobile transceivers live in a
+/// grid of their own. Liveness is a send-time filter, so failures and
+/// replacements never touch a list. Const queries may build the lists or use
+/// a scratch bitmap, so one Medium must not be queried from two threads.
 class Medium {
  public:
   /// Called on packet reception: (packet, link-layer sender).
@@ -82,12 +94,14 @@ class Medium {
   Medium& operator=(const Medium&) = delete;
 
   /// Registers a transceiver. `tx_range` is this node's transmission range.
-  void attach(NodeId id, geometry::Vec2 pos, double tx_range, ReceiveFn rx);
+  void attach(NodeId id, geometry::Vec2 pos, double tx_range, ReceiveFn rx,
+              Mobility mobility = Mobility::kStatic);
 
   /// Unregisters a transceiver (node permanently removed, not just failed).
   void detach(NodeId id);
 
-  /// Moves a transceiver (robots).
+  /// Moves a transceiver (robots). A static node that moves is mobile from
+  /// then on.
   void set_position(NodeId id, geometry::Vec2 pos);
 
   /// Marks a node dead (failed sensor: no TX, no RX) or alive again.
@@ -106,8 +120,15 @@ class Medium {
   /// ascending id order.
   [[nodiscard]] std::vector<NodeId> neighbors_of(NodeId sender) const;
 
-  /// Alive nodes within `radius` of `pos`, ascending id order.
+  /// Alive nodes within `radius` of `pos`, ascending id order. Throws
+  /// std::invalid_argument on a negative or NaN radius.
   [[nodiscard]] std::vector<NodeId> nodes_near(geometry::Vec2 pos, double radius) const;
+
+  /// The static nodes within static node `id`'s TX range, excluding `id`, in
+  /// ascending id order, dead ones included. The span is valid until a
+  /// static node is next attached, detached or moved. Throws
+  /// std::invalid_argument for a mobile node.
+  [[nodiscard]] std::span<const NodeId> static_receivers(NodeId id) const;
 
   /// One-hop broadcast. Counts one transmission; draws loss and chaos per
   /// receiver now, and delivers to every surviving receiver still alive
@@ -155,6 +176,7 @@ class Medium {
     double tx_range = 0.0;
     bool alive = true;
     bool attached = false;
+    bool mobile = false;
     ReceiveFn rx;
   };
 
@@ -172,6 +194,20 @@ class Medium {
   [[nodiscard]] const Transceiver& get(NodeId id) const;
   [[nodiscard]] Transceiver& get(NodeId id);
   [[nodiscard]] sim::Duration frame_delay(const Packet& pkt) noexcept;
+
+  /// Rebuilds every static node's receiver list in one pass over the ids.
+  void build_lists() const;
+
+  /// Every node other than `sender` within its TX range, alive or not, in
+  /// ascending id order.
+  [[nodiscard]] std::vector<NodeId> in_range_of(NodeId sender, const Transceiver& s) const;
+
+  /// The ids of both grids within the closed ball of radius `r` around `p`
+  /// (fl(d2) <= fl(r*r)), in ascending id order. Hits are marked in a bitmap
+  /// over the dense id space; reading the set bits yields them sorted and
+  /// clears the bitmap.
+  [[nodiscard]] std::vector<NodeId> collect_near(geometry::Vec2 p, double r) const;
+
   [[nodiscard]] sim::Duration serialization_time(const Packet& pkt) const noexcept;
 
   /// Takes a pool entry for `pkt` (hops incremented) sent by `from`, with no
@@ -211,7 +247,18 @@ class Medium {
   sim::Rng rng_;
   RadioConfig config_;
   metrics::TransmissionCounters* counters_;
-  spatial::UniformGrid2D<NodeId> index_;
+  /// Static and mobile transceivers, indexed apart so that moving a robot
+  /// never touches the static side.
+  spatial::UniformGrid2D<NodeId> static_index_;
+  spatial::UniformGrid2D<NodeId> mobile_index_;
+  /// Static receiver lists in compressed sparse rows: static node `id`'s
+  /// list is list_ids_[list_begin_[id], list_begin_[id + 1]). Empty for
+  /// mobile and unattached ids. Built lazily, hence mutable.
+  mutable bool lists_stale_ = true;
+  mutable std::vector<std::uint32_t> list_begin_;
+  mutable std::vector<NodeId> list_ids_;
+  /// collect_near()'s bitmap, one bit per id, all clear between calls.
+  mutable std::vector<std::uint64_t> marks_;
   /// Dense table indexed by NodeId (ids are dense: sensors [0, n), robots and
   /// the manager right above). Hot delivery paths index straight into it
   /// instead of hashing per receiver.

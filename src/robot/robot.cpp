@@ -37,7 +37,8 @@ RobotNode::RobotNode(NodeId id, Vec2 pos, const Config& config, sim::Simulator& 
   router_ = std::make_unique<routing::GeoRouter>(
       id_, medium, table_, [this] { return pos_; }, std::move(cb));
   medium_->attach(id_, pos_, config_.tx_range,
-                  [this](const Packet& pkt, NodeId from) { on_packet(pkt, from); });
+                  [this](const Packet& pkt, NodeId from) { on_packet(pkt, from); },
+                  net::Mobility::kMobile);
 }
 
 void RobotNode::refresh_neighbor_table() {

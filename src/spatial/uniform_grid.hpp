@@ -151,8 +151,12 @@ class UniformGrid2D {
   }
 
   /// Ids within the closed ball (fl(d2) <= fl(r*r), the medium's unit-disk
-  /// predicate), ascending.
+  /// predicate), ascending. Throws std::invalid_argument on a negative or NaN
+  /// radius, which r*r would otherwise turn into the ball of radius |r|.
   [[nodiscard]] std::vector<Id> within_radius(geometry::Vec2 p, double r) const {
+    if (!(r >= 0.0)) {
+      throw std::invalid_argument("UniformGrid2D::within_radius: radius must be non-negative");
+    }
     std::vector<Id> out;
     const double r2 = r * r;
     for_each_candidate(p, r, [&](Id id, geometry::Vec2 pos) {

@@ -48,19 +48,8 @@ void SensorField::deploy(const std::vector<Vec2>& positions) {
   alive_soa_.assign(slots_.size(), 1);
   last_beacon_soa_.assign(slots_.size(), 0.0);
 
-  // Static sensor-sensor adjacency: sensors never move and replacements land
-  // on the same coordinates, so this graph is computed once, under the
-  // closed-ball d^2 <= r^2 predicate with ids ascending.
   grid_.emplace(geometry::Rect::bounding(positions), config_.sensor_tx_range);
   for (const auto& s : slots_) grid_->insert(s->id(), s->position());
-  adjacency_.resize(slots_.size());
-  for (const auto& s : slots_) {
-    auto& adj = adjacency_[s->id()];
-    for (const NodeId m : grid_->within_radius(s->position(), config_.sensor_tx_range)) {
-      if (m == s->id()) continue;
-      adj.push_back({m, slots_[m]->position()});
-    }
-  }
 }
 
 std::vector<NodeId> SensorField::slots_within(Vec2 center, double range) const {
@@ -82,10 +71,10 @@ void SensorField::initialize() {
   medium_->account(metrics::MessageCategory::kInitialization,
                    static_cast<std::uint64_t>(slots_.size()));
   for (const auto& s : slots_) {
-    for (const auto& e : adjacency_[s->id()]) {
-      s->table().upsert(e.id, e.pos);
+    for (const NodeId m : static_neighbors(s->id())) {
+      s->table().upsert(m, slots_[m]->position());
       // Honest-beacon mode: the init broadcast is what primes heard_.
-      if (config_.materialize_beacons) s->heard_[e.id] = sim_->now();
+      if (config_.materialize_beacons) s->heard_[m] = sim_->now();
     }
   }
   // Step 2: guardian selection + confirmation (real counted unicasts).
@@ -129,8 +118,12 @@ const SensorNode& SensorField::node(NodeId id) const {
   return *slots_[id];
 }
 
-const std::vector<routing::NeighborEntry>& SensorField::static_neighbors(NodeId id) const {
-  return adjacency_.at(id);
+std::span<const NodeId> SensorField::static_neighbors(NodeId id) const {
+  if (!is_sensor(id)) throw std::out_of_range("SensorField::static_neighbors: not a sensor id");
+  // Sensor ids lie below every robot and manager id.
+  const std::span<const NodeId> all = medium_->static_receivers(id);
+  return all.first(static_cast<std::size_t>(
+      std::lower_bound(all.begin(), all.end(), slots_.size()) - all.begin()));
 }
 
 sim::SimTime SensorField::last_beacon(NodeId id) const {
@@ -165,9 +158,7 @@ void SensorField::fail_slot(NodeId slot) {
   sim_->in(staleness_window() + 1e-6, [this, slot, inc] {
     SensorNode& dead = node(slot);
     if (dead.alive() && dead.incarnation() != inc) return;  // already replaced
-    for (const auto& e : adjacency_[slot]) {
-      node(e.id).remove_neighbor(slot);
-    }
+    for (const NodeId m : static_neighbors(slot)) node(m).remove_neighbor(slot);
   });
 }
 

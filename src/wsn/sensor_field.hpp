@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geometry/rect.hpp"
@@ -84,8 +85,8 @@ class SensorField {
   SensorField(const SensorField&) = delete;
   SensorField& operator=(const SensorField&) = delete;
 
-  /// Creates one slot per position (ids 0..n-1), attaches them to the medium
-  /// and precomputes the static sensor adjacency. Call exactly once.
+  /// Creates one slot per position (ids 0..n-1) and attaches them to the
+  /// medium. Call exactly once.
   void deploy(const std::vector<geometry::Vec2>& positions);
 
   /// Paper §3, initialization: every sensor broadcasts its location (counted)
@@ -107,8 +108,11 @@ class SensorField {
                                                       double range) const;
   [[nodiscard]] SensorNode& node(net::NodeId id);
   [[nodiscard]] const SensorNode& node(net::NodeId id) const;
-  [[nodiscard]] const std::vector<routing::NeighborEntry>& static_neighbors(
-      net::NodeId id) const;
+  /// The sensors within sensor `id`'s TX range (closed ball d^2 <= r^2),
+  /// dead ones included, in ascending id order: the sensor prefix of the
+  /// medium's static receiver list. Valid until a static node is next
+  /// attached, detached or moved on the medium.
+  [[nodiscard]] std::span<const net::NodeId> static_neighbors(net::NodeId id) const;
 
   /// Timestamp of the node's most recent beacon; kNever for non-sensors.
   /// Reads the flat mirror (no SensorNode dereference) — this is the
@@ -197,7 +201,6 @@ class SensorField {
   /// Sensor positions bucketed at TX-range granularity. Built once in
   /// deploy(): slots never move, replacements keep coordinates.
   std::optional<spatial::UniformGrid2D<net::NodeId>> grid_;
-  std::vector<std::vector<routing::NeighborEntry>> adjacency_;
   std::vector<std::optional<metrics::FailureLog::FailureId>> open_failure_;
   std::size_t unreported_ = 0;
 };

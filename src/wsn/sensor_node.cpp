@@ -247,15 +247,15 @@ void SensorNode::tick() {
   // guardee path above already reported its subset this tick; the
   // watch_reported_ stamp below keeps this loop from repeating those.
   if (field_->config().neighborhood_watch) {
-    for (const auto& e : field_->static_neighbors(id_)) {
-      if (!neighbor_is_stale(e.id)) continue;
-      const sim::SimTime silent_since = field_->last_beacon(e.id);
-      auto it = watch_reported_.find(e.id);
+    for (const NodeId m : field_->static_neighbors(id_)) {
+      if (!neighbor_is_stale(m)) continue;
+      const sim::SimTime silent_since = field_->last_beacon(m);
+      auto it = watch_reported_.find(m);
       if (it != watch_reported_.end() && it->second == silent_since) continue;
-      watch_reported_[e.id] = silent_since;
+      watch_reported_[m] = silent_since;
       // Avoid double-reporting a neighbor the guardee path just handled.
-      if (std::find(failed.begin(), failed.end(), e.id) != failed.end()) continue;
-      report_guardee_failure(e.id);
+      if (std::find(failed.begin(), failed.end(), m) != failed.end()) continue;
+      report_guardee_failure(m);
     }
   }
 }
@@ -379,13 +379,13 @@ void SensorNode::rebuild_neighbor_table() {
   // Every alive static neighbor beacons within one period of our power-on;
   // collecting those beacons yields exactly this table (substitution 3).
   table_.clear();
-  for (const auto& e : field_->static_neighbors(id_)) {
-    if (field_->slot_alive(e.id)) {
-      table_.upsert(e.id, e.pos);
+  for (const NodeId m : field_->static_neighbors(id_)) {
+    if (field_->slot_alive(m)) {
+      table_.upsert(m, field_->node(m).position());
       // Honest mode: a full beacon period has elapsed, so every alive
       // neighbor has been heard once by now.
       if (field_->config().materialize_beacons) {
-        heard_[e.id] = field_->simulator().now();
+        heard_[m] = field_->simulator().now();
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -55,6 +56,8 @@ TEST_F(MediumTest, AttachRejectsDuplicatesAndReservedIds) {
   EXPECT_THROW(medium_.attach(kNoNode, {0, 0}, 50.0, rx.fn()), std::invalid_argument);
   EXPECT_THROW(medium_.attach(kBroadcastId, {0, 0}, 50.0, rx.fn()), std::invalid_argument);
   EXPECT_THROW(medium_.attach(2, {0, 0}, 0.0, rx.fn()), std::invalid_argument);
+  EXPECT_THROW(medium_.attach(2, {0, 0}, std::numeric_limits<double>::quiet_NaN(), rx.fn()),
+               std::invalid_argument);
 }
 
 TEST_F(MediumTest, BroadcastReachesOnlyNodesInSenderRange) {
@@ -213,6 +216,15 @@ TEST_F(MediumTest, NodesNearQueriesArbitraryPositions) {
   EXPECT_EQ(medium_.tx_range_of(1), 50.0);
 }
 
+TEST_F(MediumTest, NodesNearRejectsNegativeAndNaNRadii) {
+  medium_.attach(1, {0, 0}, 50.0, {});
+  medium_.attach(2, {3, 0}, 50.0, {});
+  EXPECT_THROW((void)medium_.nodes_near({0, 0}, -5.0), std::invalid_argument);
+  EXPECT_THROW((void)medium_.nodes_near({0, 0}, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(medium_.nodes_near({0, 0}, 0.0), (std::vector<NodeId>{1}));
+}
+
 TEST_F(MediumTest, AccountBooksWithoutDelivering) {
   medium_.attach(1, {0, 0}, 50.0, {});
   medium_.account(MessageCategory::kBeacon, 41);
@@ -309,6 +321,89 @@ TEST(MediumIndexTest, OutOfFieldNodesAreReachedExactly) {
       EXPECT_EQ(medium.nodes_near(q, r), brute.within_radius(q, r));
     }
   }
+}
+
+// The static receiver lists must track every change that can move a static
+// node's neighbourhood: a static node attached after the lists were built
+// (the centralized manager), a static node's first move, and a detach. Mobile
+// nodes moving in and out of static senders' ranges must be found from their
+// own grid. After every step, every alive sender's broadcast receivers and
+// neighbors_of(), and nodes_near() at random points, must equal a brute
+// d^2 <= r^2 scan over the true positions, in ascending id order.
+TEST(MediumIndexTest, StaticListsFollowAttachMoveAndDetach) {
+  sim::Simulator sim;
+  metrics::TransmissionCounters counters;
+  RadioConfig cfg;
+  cfg.max_backoff_s = 0.0;
+  Medium medium(sim, sim::Rng(1), cfg, counters, Rect{{0.0, 0.0}, {300.0, 300.0}}, 60.0);
+  sim::Rng rng(91);
+  const auto anywhere = [&rng] { return Vec2{rng.uniform(-50, 350), rng.uniform(-50, 350)}; };
+
+  std::map<NodeId, Vec2> pos;
+  std::map<NodeId, double> range;
+  std::vector<NodeId> heard;  // receivers of the current frame, in delivery order
+  const auto attach = [&](NodeId id, double r, Mobility m) {
+    pos[id] = anywhere();
+    range[id] = r;
+    medium.attach(id, pos[id], r, [&heard, id](const Packet&, NodeId) { heard.push_back(id); },
+                  m);
+  };
+  const auto move = [&](NodeId id) {
+    pos[id] = anywhere();
+    medium.set_position(id, pos[id]);
+  };
+  Packet pkt;
+  pkt.type = PacketType::kBeacon;
+  pkt.dst = kBroadcastId;
+  const auto check = [&](const char* step) {
+    reference::BruteIndex<NodeId> brute;
+    for (const auto& [id, p] : pos) {
+      if (medium.alive(id)) brute.pts.emplace_back(id, p);
+    }
+    for (const auto& [sender, p] : pos) {
+      if (!medium.alive(sender)) continue;
+      auto want = brute.within_radius(p, range[sender]);
+      std::erase(want, sender);
+      ASSERT_EQ(medium.neighbors_of(sender), want) << step << ", sender " << sender;
+      heard.clear();
+      medium.broadcast(sender, pkt);
+      sim.run_all();
+      ASSERT_EQ(heard, want) << step << ", sender " << sender;
+    }
+    for (int k = 0; k < 10; ++k) {
+      const Vec2 q = anywhere();
+      const double r = rng.uniform(0, 250);
+      ASSERT_EQ(medium.nodes_near(q, r), brute.within_radius(q, r)) << step;
+    }
+  };
+
+  for (NodeId id = 0; id < 80; ++id) attach(id, rng.uniform(20, 120), Mobility::kStatic);
+  check("static field");
+  for (NodeId id = 200; id < 206; ++id) attach(id, 250.0, Mobility::kMobile);
+  check("robots attached");
+  for (int round = 0; round < 10; ++round) {
+    for (NodeId id = 200; id < 206; ++id) move(id);
+    if (round % 3 == 0) medium.set_alive(200, !medium.alive(200));
+    check("robots moved");
+  }
+  attach(150, 250.0, Mobility::kStatic);
+  check("static node attached after the lists were built");
+  move(7);
+  check("static node's first move");
+  move(7);
+  check("moved static node moves again");
+  medium.detach(12);
+  pos.erase(12);
+  medium.detach(203);
+  pos.erase(203);
+  check("static and mobile nodes detached");
+  medium.set_alive(20, false);
+  check("static node died");
+  // static_receivers() lists static nodes only, dead ones included.
+  const auto list = medium.static_receivers(150);
+  EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
+  EXPECT_EQ(std::count_if(list.begin(), list.end(), [](NodeId id) { return id >= 200; }), 0);
+  EXPECT_THROW((void)medium.static_receivers(200), std::invalid_argument);
 }
 
 // --- Loss model ---------------------------------------------------------------

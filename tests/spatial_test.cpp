@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -165,6 +166,17 @@ TEST(UniformGrid, WithinRadiusIsAClosedBall) {
   g.insert(2, {10, 0});
   EXPECT_EQ(g.within_radius({0, 0}, 10.0), (std::vector<int>{1, 2}));
   EXPECT_EQ(g.within_radius({0, 0}, 9.999), std::vector<int>{1});
+}
+
+TEST(UniformGrid, WithinRadiusRejectsNegativeAndNaNRadii) {
+  // r*r is positive for r = -5, so an unchecked query would answer for |r|.
+  UniformGrid2D<int> g(kField, 10.0);
+  g.insert(1, {0, 0});
+  g.insert(2, {3, 0});
+  EXPECT_THROW((void)g.within_radius({0, 0}, -5.0), std::invalid_argument);
+  EXPECT_THROW((void)g.within_radius({0, 0}, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(g.within_radius({0, 0}, 0.0), std::vector<int>{1});
 }
 
 TEST(UniformGrid, NegativeCoordinatesWork) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "brute_reference.hpp"
 #include "metrics/counters.hpp"
 #include "metrics/failure_log.hpp"
 #include "net/medium.hpp"
@@ -203,13 +204,51 @@ class FieldFixture : public ::testing::Test {
 TEST_F(FieldFixture, DeployBuildsStaticAdjacency) {
   build();
   // Corner node 0 at (0,0): neighbors at 40 and 56.6 (diagonal) distance.
-  const auto& adj = field_->static_neighbors(0);
-  std::vector<NodeId> ids;
-  for (const auto& e : adj) ids.push_back(e.id);
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<NodeId>{1, 3, 4}));
+  const auto adj = field_->static_neighbors(0);
+  EXPECT_EQ(std::vector<NodeId>(adj.begin(), adj.end()), (std::vector<NodeId>{1, 3, 4}));
   // Center node 4 sees everything within 63 m: the 4-neighborhood + corners.
   EXPECT_EQ(field_->static_neighbors(4).size(), 8u);
+  // The manager sits on node 4, inside every sensor's range: the medium's
+  // list holds it, the sensor adjacency does not.
+  EXPECT_EQ(medium_.static_receivers(4).back(), kManagerId);
+}
+
+// static_neighbors() is the sensor prefix of the medium's static receiver
+// list. It must equal a brute sensor-only d^2 <= r^2 scan, in ascending
+// order, with a static manager attached after the lists were first built and
+// a mobile robot in range.
+TEST(StaticNeighborsTest, EqualBruteSensorScanWithManagerAndRobotInRange) {
+  sim::Simulator sim;
+  metrics::TransmissionCounters counters;
+  net::Medium medium(sim, sim::Rng(3), net::RadioConfig{}, counters,
+                     Rect::sized(300.0, 300.0), 63.0);
+  StubPolicy policy;
+  metrics::FailureLog log;
+  FieldConfig cfg;
+  cfg.spontaneous_failures = false;
+  SensorField field(sim, medium, policy, log, cfg, sim::Rng(4));
+  sim::Rng rng(5);
+  const auto pts = uniform_deployment(rng, Rect::sized(300.0, 300.0), 300);
+  field.deploy(pts);
+  reference::BruteIndex<NodeId> brute;
+  for (NodeId id = 0; id < pts.size(); ++id) brute.pts.emplace_back(id, pts[id]);
+  const auto check = [&] {
+    for (NodeId id = 0; id < pts.size(); ++id) {
+      auto want = brute.within_radius(pts[id], cfg.sensor_tx_range);
+      std::erase(want, id);
+      const auto got = field.static_neighbors(id);
+      ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), want) << "sensor " << id;
+    }
+  };
+  check();
+  const NodeId manager = 500;
+  const NodeId robot = 501;
+  medium.attach(manager, {150.0, 150.0}, 250.0, {});
+  medium.attach(robot, {140.0, 150.0}, 250.0, {}, net::Mobility::kMobile);
+  check();
+  EXPECT_EQ(medium.static_receivers(brute.within_radius({150.0, 150.0}, 63.0).front())
+                .back(),
+            manager);
 }
 
 TEST_F(FieldFixture, GuardiansAreNearestNeighbors) {
