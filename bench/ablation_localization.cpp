@@ -54,8 +54,7 @@ Outcome run_noise(double range_noise) {
   const auto loc = localize_field(truth, lcfg, loc_rng);
 
   sensrep::sim::Simulator simulator;
-  sensrep::metrics::TransmissionCounters counters;
-  sensrep::net::Medium medium(simulator, sensrep::sim::Rng(3), {}, counters,
+  sensrep::net::Medium medium(simulator, sensrep::sim::Rng(3), {},
                               Rect::sized(600, 600), range);
 
   struct Node {

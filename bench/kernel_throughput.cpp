@@ -255,10 +255,11 @@ BENCHMARK(BM_EndToEndTicks)
 // --- metrics-plane overhead ablation (E20) -----------------------------------
 //
 // The same end-to-end run as BM_EndToEndTicks, with the observability plane
-// in its three states: 0 = registry disabled (the default), 1 = registry
-// enabled, 2 = registry + flight recorder. Every instrumentation site is
-// compiled in unconditionally — disabled mode pays exactly one relaxed load
-// per site — so the /0 vs /1 vs /2 spread IS the runtime cost of the plane.
+// in its three states: 0 = counters only (the default: each simulation's
+// counter block is always on), 1 = histograms and gauges enabled too,
+// 2 = those plus the flight recorder. Every instrumentation site is compiled
+// in unconditionally — an opt-in probe that is off pays one relaxed load —
+// so the /0 vs /1 vs /2 spread IS the runtime cost of the opt-in plane.
 // tools/check_metrics_overhead.sh feeds the repetition medians through a <3%
 // guard.
 
@@ -300,8 +301,7 @@ BENCHMARK(BM_MetricsOverhead)
 
 void BM_MediumBroadcast(benchmark::State& state) {
   sensrep::sim::Simulator sim;
-  sensrep::metrics::TransmissionCounters counters;
-  sensrep::net::Medium medium(sim, sensrep::sim::Rng(2), {}, counters, Rect::sized(400, 400),
+  sensrep::net::Medium medium(sim, sensrep::sim::Rng(2), {}, Rect::sized(400, 400),
                               63.0);
   sensrep::sim::Rng rng(3);
   int delivered = 0;

@@ -151,13 +151,13 @@ void InvariantChecker::verify_robot_bookkeeping() {
       record("robot-bookkeeping", who + " is alive but radio-dark");
     }
   }
-  const auto& stats = sim_->algorithm().fault_stats();
-  if (stats.robot_failures < stats.robot_repairs ||
-      dead != stats.robot_failures - stats.robot_repairs) {
+  const std::uint64_t failures = sim_->counters().get(obs::Counter::kRobotFailures);
+  const std::uint64_t repairs = sim_->counters().get(obs::Counter::kRobotRepairs);
+  if (failures < repairs || dead != failures - repairs) {
     record("robot-bookkeeping",
            std::to_string(dead) + " robot(s) currently dead but injection ledger says " +
-               std::to_string(stats.robot_failures) + " failures - " +
-               std::to_string(stats.robot_repairs) + " repairs");
+               std::to_string(failures) + " failures - " + std::to_string(repairs) +
+               " repairs");
   }
 }
 

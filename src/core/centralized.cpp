@@ -353,8 +353,7 @@ void CentralizedAlgorithm::apply_handback() {
   const NodeId former = config().robot_id(*acting_manager_);
   acting_manager_.reset();
   ++fault_stats_.handbacks;
-  ++fault_stats_.ownership_transfers;
-  obs::Metrics::inc(obs::Counter::kOwnershipTransfers);
+  ctx().simulator->counters().inc(obs::Counter::kOwnershipTransfers);
   manager_pos_ = manager_->position();
   manager_lease_ = ctx().simulator->now();
   trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
@@ -476,7 +475,6 @@ void CentralizedAlgorithm::perform_failover() {
   }
   acting_manager_ = winner;
   ++fault_stats_.failovers;
-  ++fault_stats_.elections;
   auto& am = robot_at(*winner);
   manager_pos_ = am.position();
   manager_lease_ = ctx().simulator->now();
@@ -536,7 +534,6 @@ void CentralizedAlgorithm::on_robot_presumed_dead(std::size_t index) {
   for (const auto& [fid, entry] : orphaned) {
     in_flight_.erase(fid);
     if (ctx().field->node(entry.slot).alive()) continue;
-    ++fault_stats_.redispatches;
     trace::Logger::global().logf(trace::Level::kInfo, ctx().simulator->now(), "fault",
                                  "re-dispatching repair of %u (was in flight at robot %u)",
                                  entry.slot, robot_at(index).id());

@@ -22,10 +22,10 @@ bool CoordinationAlgorithm::record_report_arrival(const Packet& pkt) {
   // Duplication dedup: seq 0 is an untagged (hand-crafted test) report and is
   // always fresh; every real report is stamped with a per-sensor sequence.
   if (pkt.seq != 0 && !seen_reports_.insert({pkt.src, pkt.seq}).second) {
-    obs::Metrics::inc(obs::Counter::kReportsDeduped);
+    ctx_.simulator->counters().inc(obs::Counter::kReportsDeduped);
     return false;
   }
-  obs::Metrics::inc(obs::Counter::kReportsArrived);
+  ctx_.simulator->counters().inc(obs::Counter::kReportsArrived);
   const auto& body = std::get<net::FailureReportPayload>(pkt.payload);
   if (body.failure_id == 0) return true;
   auto& rec = ctx_.log->at(body.failure_id - 1);
@@ -112,16 +112,13 @@ void CoordinationAlgorithm::on_robot_idle(robot::RobotNode& robot) {
 
 void CoordinationAlgorithm::on_robot_failed(robot::RobotNode& robot,
                                             std::size_t tasks_lost) {
-  ++fault_stats_.robot_failures;
-  fault_stats_.tasks_lost += tasks_lost;
-  obs::Metrics::inc(obs::Counter::kTasksLost, tasks_lost);
+  ctx_.simulator->counters().inc(obs::Counter::kTasksLost, tasks_lost);
   emit({.time = ctx_.simulator->now(), .kind = obs::Kind::kRobotFailure,
         .node = robot.id(), .location = robot.position(),
         .value = static_cast<double>(tasks_lost)});
 }
 
 void CoordinationAlgorithm::on_robot_repaired(robot::RobotNode& robot) {
-  ++fault_stats_.robot_repairs;
   emit({.time = ctx_.simulator->now(), .kind = obs::Kind::kRobotRepair,
         .node = robot.id(), .location = robot.position()});
   const std::size_t index = robot_index(robot.id());

@@ -120,7 +120,6 @@ void FixedDistributedAlgorithm::on_robot_presumed_dead(std::size_t index) {
     if (owner_[cell] != index) continue;
     owner_[cell] = *adopter;
     adopted.push_back(cell);
-    ++fault_stats_.adoptions;
     emit({.time = ctx().simulator->now(), .kind = obs::Kind::kAdoption, .node = am.id(),
           .actor = robot_at(index).id(), .location = am.position(),
           .value = static_cast<double>(cell)});
@@ -213,8 +212,7 @@ void FixedDistributedAlgorithm::apply_return(robot::RobotNode& robot, const Pack
   if (cell >= owner_.size() || body.to_owner != robot.id()) return;
   if (owner_[cell] == mine) return;  // duplicate offer (retry raced the ack)
   owner_[cell] = mine;
-  ++fault_stats_.ownership_transfers;
-  obs::Metrics::inc(obs::Counter::kOwnershipTransfers);
+  ctx().simulator->counters().inc(obs::Counter::kOwnershipTransfers);
   emit({.time = ctx().simulator->now(), .kind = obs::Kind::kHandback, .node = robot.id(),
         .actor = pkt.src, .location = robot.position(),
         .value = static_cast<double>(cell)});

@@ -26,7 +26,7 @@ Simulation::Simulation(const SimulationConfig& config) : config_(config) {
   }
 
   medium_ = std::make_unique<net::Medium>(sim_, master.fork("medium"), config_.radio,
-                                          counters_, config_.field_area(),
+                                          config_.field_area(),
                                           config_.field.sensor_tx_range);
   algo_ = make_algorithm(config_);
   field_ = std::make_unique<wsn::SensorField>(sim_, *medium_, *algo_, log_, config_.field,
@@ -173,14 +173,13 @@ StateDigest Simulation::digest() const {
   d.pending_events = sim_.pending();
   d.failures = log_.size();
   d.repaired = log_.repaired_count();
-  const auto& faults = algo_->fault_stats();
-  d.robot_failures = faults.robot_failures;
-  d.robot_repairs = faults.robot_repairs;
+  d.robot_failures = counters().get(obs::Counter::kRobotFailures);
+  d.robot_repairs = counters().get(obs::Counter::kRobotRepairs);
   for (const auto& robot : robots_) {
     if (!robot->failed()) ++d.live_robots;
     d.pending_tasks += robot->queue().size() + (robot->busy() ? 1 : 0);
   }
-  d.transmissions = counters_.total();
+  d.transmissions = counters().total();
   return d;
 }
 
@@ -245,7 +244,7 @@ ExperimentResult Simulation::result() const {
   for (const auto& robot : robots_) r.router_drops += robot->router().drops();
 
   for (std::size_t c = 0; c < r.transmissions.size(); ++c) {
-    r.transmissions[c] = counters_.get(static_cast<metrics::MessageCategory>(c));
+    r.transmissions[c] = counters().get(static_cast<metrics::MessageCategory>(c));
   }
   r.location_update_tx_per_repair =
       r.repaired == 0
@@ -261,16 +260,16 @@ ExperimentResult Simulation::result() const {
   }
   r.init_motion = algo_->init_motion();
 
-  const auto& faults = algo_->fault_stats();
-  r.robot_failures = faults.robot_failures;
-  r.tasks_lost = faults.tasks_lost;
-  r.redispatches = faults.redispatches;
-  r.failover_events = faults.failovers;
-  r.adoptions = faults.adoptions;
-  r.robot_repairs = faults.robot_repairs;
-  r.elections = faults.elections;
-  r.handbacks = faults.handbacks;
-  r.ownership_transfers = faults.ownership_transfers;
+  const obs::CounterBlock& c = counters();
+  r.robot_failures = c.get(obs::Counter::kRobotFailures);
+  r.tasks_lost = c.get(obs::Counter::kTasksLost);
+  r.redispatches = c.get(obs::Counter::kRedispatches);
+  r.failover_events = algo_->fault_stats().failovers;
+  r.adoptions = c.get(obs::Counter::kAdoptions);
+  r.robot_repairs = c.get(obs::Counter::kRobotRepairs);
+  r.elections = c.get(obs::Counter::kElections);
+  r.handbacks = algo_->fault_stats().handbacks;
+  r.ownership_transfers = c.get(obs::Counter::kOwnershipTransfers);
   return r;
 }
 

@@ -174,8 +174,10 @@ class Simulation {
     return robots_;
   }
   [[nodiscard]] const metrics::FailureLog& failure_log() const noexcept { return log_; }
-  [[nodiscard]] const metrics::TransmissionCounters& counters() const noexcept {
-    return counters_;
+  /// The simulator's counter block: transmissions per category
+  /// (get(category), total()) and every obs::Counter.
+  [[nodiscard]] const obs::CounterBlock& counters() const noexcept {
+    return sim_.counters();
   }
 
  private:
@@ -190,7 +192,6 @@ class Simulation {
 
   SimulationConfig config_;
   sim::Simulator sim_;
-  metrics::TransmissionCounters counters_;
   metrics::FailureLog log_;
   std::unique_ptr<net::Medium> medium_;
   std::unique_ptr<CoordinationAlgorithm> algo_;

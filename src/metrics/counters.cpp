@@ -1,28 +1,12 @@
 #include "metrics/counters.hpp"
 
+#include "obs/metrics_registry.hpp"
+
 namespace sensrep::metrics {
 
 std::string_view to_string(MessageCategory c) noexcept {
-  switch (c) {
-    case MessageCategory::kInitialization: return "initialization";
-    case MessageCategory::kBeacon: return "beacon";
-    case MessageCategory::kGuardianConfirm: return "guardian_confirm";
-    case MessageCategory::kFailureReport: return "failure_report";
-    case MessageCategory::kRepairRequest: return "repair_request";
-    case MessageCategory::kLocationUpdate: return "location_update";
-    case MessageCategory::kReplacement: return "replacement";
-    case MessageCategory::kData: return "data";
-    case MessageCategory::kFaultTolerance: return "fault_tolerance";
-    case MessageCategory::kOther: return "other";
-    case MessageCategory::kCount: break;
-  }
-  return "invalid";
-}
-
-std::uint64_t TransmissionCounters::total() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto v : counts_) sum += v;
-  return sum;
+  const auto i = static_cast<std::size_t>(c);
+  return i < obs::kNetCategories ? obs::kCategoryLabel[i] : "invalid";
 }
 
 }  // namespace sensrep::metrics

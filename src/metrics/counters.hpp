@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -24,29 +23,8 @@ enum class MessageCategory : std::uint8_t {
   kCount,
 };
 
-/// Human-readable name for a category (stable; used in CSV headers).
+/// Human-readable name for a category (stable; used in CSV headers and
+/// metric labels): its entry in obs::kCategoryLabel.
 [[nodiscard]] std::string_view to_string(MessageCategory c) noexcept;
-
-/// Per-category transmission counters.
-///
-/// A "transmission" is one radio send (the paper's Fig. 4 metric); a packet
-/// relayed over h hops therefore costs h transmissions.
-class TransmissionCounters {
- public:
-  void add(MessageCategory c, std::uint64_t n = 1) noexcept {
-    counts_[static_cast<std::size_t>(c)] += n;
-  }
-
-  [[nodiscard]] std::uint64_t get(MessageCategory c) const noexcept {
-    return counts_[static_cast<std::size_t>(c)];
-  }
-
-  [[nodiscard]] std::uint64_t total() const noexcept;
-
-  void reset() noexcept { counts_.fill(0); }
-
- private:
-  std::array<std::uint64_t, static_cast<std::size_t>(MessageCategory::kCount)> counts_{};
-};
 
 }  // namespace sensrep::metrics

@@ -13,18 +13,11 @@ namespace sensrep::net {
 
 using geometry::Vec2;
 
-// obs cannot see metrics::MessageCategory (sensrep_metrics links against
-// sensrep_obs, not the reverse), so its label table is a mirror. This TU sees
-// both headers: pin the sizes together; metrics_plane_test pins the names.
+// The medium counts per category into the cells the obs label table names:
+// pin the sizes together; metrics_plane_test pins the names.
 static_assert(obs::kNetCategories ==
                   static_cast<std::size_t>(metrics::MessageCategory::kCount),
-              "obs::kCategoryLabel must mirror metrics::MessageCategory");
-
-namespace {
-inline std::size_t cat_index(const Packet& pkt) noexcept {
-  return static_cast<std::size_t>(pkt.category());
-}
-}  // namespace
+              "obs::kCategoryLabel must name every metrics::MessageCategory");
 
 void RadioConfig::validate() const {
   // Negated comparisons so NaN fails every test.
@@ -47,12 +40,10 @@ void RadioConfig::validate() const {
 }
 
 Medium::Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
-               metrics::TransmissionCounters& counters, geometry::Rect bounds,
-               double cell_size_m)
+               geometry::Rect bounds, double cell_size_m)
     : sim_(&simulator),
       rng_(rng),
       config_(config),
-      counters_(&counters),
       static_index_(bounds, cell_size_m),
       mobile_index_(bounds, cell_size_m) {
   config_.validate();
@@ -293,8 +284,7 @@ void Medium::deliver_chaotic(NodeId to, const Packet& pkt, NodeId from,
     // A duplicate is a reception artifact (stale frame, reflection), not a
     // retransmission: it costs no counted transmission and lands late enough
     // to reorder against subsequent traffic.
-    ++chaos_duplicates_;
-    obs::Metrics::inc(obs::Counter::kNetChaosDuplicates);
+    counters().inc(obs::Counter::kNetChaosDuplicates);
     deliver_later(to, pkt, from, jittered + chaos_->duplicate_delay(), collidable);
   }
 }
@@ -304,15 +294,15 @@ void Medium::deliver_frame(std::uint32_t f) {
   // frame, and the frame is not recycled before the loop ends.
   const Frame& frame = frames_[f];
   if (frame.corrupted && *frame.corrupted) {
-    ++collisions_;
-    obs::Metrics::inc(obs::Counter::kNetCollisions);
+    counters().inc(obs::Counter::kNetCollisions);
   } else {
+    obs::CounterBlock& counted = counters();
+    const metrics::MessageCategory category = frame.pkt.category();
     for (const NodeId to : frame.to) {
       if (to >= nodes_.size()) continue;
       const Transceiver& r = nodes_[to];
       if (!r.attached || !r.alive) continue;  // detached or died in flight
-      ++deliveries_;
-      obs::Metrics::net_rx(cat_index(frame.pkt));
+      counted.rx(category);
       if (r.rx) r.rx(frame.pkt, frame.from);
     }
   }
@@ -322,12 +312,10 @@ void Medium::deliver_frame(std::uint32_t f) {
 void Medium::broadcast(NodeId sender, Packet pkt) {
   const Transceiver& s = get(sender);
   assert(s.alive && "dead node cannot transmit");
-  counters_->add(pkt.category());
-  obs::Metrics::net_tx(cat_index(pkt));
+  counters().tx(pkt.category());
   if (jammed_now(sender, s)) {
     // A jammed sender still burns the transmission; nobody hears it.
-    ++chaos_jams_;
-    obs::Metrics::inc(obs::Counter::kNetChaosJams);
+    counters().inc(obs::Counter::kNetChaosJams);
     return;
   }
   const sim::Duration delay = frame_delay(pkt);
@@ -338,18 +326,16 @@ void Medium::broadcast(NodeId sender, Packet pkt) {
     const Transceiver& r = nodes_[id];
     if (!r.alive) continue;
     if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {
-      obs::Metrics::inc(obs::Counter::kNetLossDrops);
+      counters().inc(obs::Counter::kNetLossDrops);
       continue;
     }
     if (chaos_) {
       if (jammed_now(id, r)) {
-        ++chaos_jams_;
-        obs::Metrics::inc(obs::Counter::kNetChaosJams);
+        counters().inc(obs::Counter::kNetChaosJams);
         continue;
       }
       if (chaos_->burst_drop()) {
-        ++chaos_drops_;
-        obs::Metrics::inc(obs::Counter::kNetChaosDrops);
+        counters().inc(obs::Counter::kNetChaosDrops);
         continue;
       }
     }
@@ -385,8 +371,7 @@ bool Medium::unicast(NodeId sender, NodeId target, Packet pkt) {
   if (chaos_ &&
       (jammed_now(sender, s) || (t != nullptr && jammed_now(target, *t)))) {
     jammed = true;
-    ++chaos_jams_;
-    obs::Metrics::inc(obs::Counter::kNetChaosJams);
+    counters().inc(obs::Counter::kNetChaosJams);
   }
 
   // 802.11-style ARQ: each attempt is one counted transmission; the sender
@@ -394,14 +379,12 @@ bool Medium::unicast(NodeId sender, NodeId target, Packet pkt) {
   // ACK (unreachable target or loss) triggers a retry up to the budget.
   const int attempts = 1 + config_.unicast_retries;
   for (int a = 0; a < attempts; ++a) {
-    counters_->add(pkt.category());
-    obs::Metrics::net_tx(cat_index(pkt));
+    counters().tx(pkt.category());
     bool lost =
         config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability);
-    if (lost) obs::Metrics::inc(obs::Counter::kNetLossDrops);
+    if (lost) counters().inc(obs::Counter::kNetLossDrops);
     if (chaos_ && chaos_->burst_drop()) {  // advances the GE chain per attempt
-      ++chaos_drops_;
-      obs::Metrics::inc(obs::Counter::kNetChaosDrops);
+      counters().inc(obs::Counter::kNetChaosDrops);
       lost = true;
     }
     if (reachable && !jammed && !lost) {

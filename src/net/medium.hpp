@@ -87,8 +87,7 @@ class Medium {
   /// reached exactly, only less cheaply. All references must outlive the
   /// medium.
   Medium(sim::Simulator& simulator, sim::Rng rng, RadioConfig config,
-         metrics::TransmissionCounters& counters, geometry::Rect bounds,
-         double cell_size_m);
+         geometry::Rect bounds, double cell_size_m);
 
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
@@ -141,31 +140,36 @@ class Medium {
   /// observes synchronously at this abstraction level.
   bool unicast(NodeId sender, NodeId target, Packet pkt);
 
-  [[nodiscard]] const metrics::TransmissionCounters& counters() const noexcept {
-    return *counters_;
-  }
-
   /// Books transmissions that are modeled analytically rather than as
   /// delivered frames (beacons; see DESIGN.md substitution 3).
   void account(metrics::MessageCategory c, std::uint64_t n = 1) noexcept {
-    counters_->add(c, n);
-    obs::Metrics::net_tx(static_cast<std::size_t>(c), n);
+    counters().tx(c, n);
   }
 
+  // Reads of the simulator's counter block, where the medium counts.
+
   /// Total frames handed to receivers (diagnostics).
-  [[nodiscard]] std::uint64_t deliveries() const noexcept { return deliveries_; }
+  [[nodiscard]] std::uint64_t deliveries() const noexcept { return counters().received(); }
 
   /// Broadcast frames destroyed by collisions (model_collisions only).
-  [[nodiscard]] std::uint64_t collisions() const noexcept { return collisions_; }
+  [[nodiscard]] std::uint64_t collisions() const noexcept {
+    return counters().get(obs::Counter::kNetCollisions);
+  }
 
   /// Receptions dropped by the chaos burst-loss model.
-  [[nodiscard]] std::uint64_t chaos_drops() const noexcept { return chaos_drops_; }
+  [[nodiscard]] std::uint64_t chaos_drops() const noexcept {
+    return counters().get(obs::Counter::kNetChaosDrops);
+  }
 
   /// Duplicate copies injected by the chaos duplication model.
-  [[nodiscard]] std::uint64_t chaos_duplicates() const noexcept { return chaos_duplicates_; }
+  [[nodiscard]] std::uint64_t chaos_duplicates() const noexcept {
+    return counters().get(obs::Counter::kNetChaosDuplicates);
+  }
 
   /// Send/receive opportunities suppressed by an active partition window.
-  [[nodiscard]] std::uint64_t chaos_jams() const noexcept { return chaos_jams_; }
+  [[nodiscard]] std::uint64_t chaos_jams() const noexcept {
+    return counters().get(obs::Counter::kNetChaosJams);
+  }
 
   /// True when any adversarial link behavior is active.
   [[nodiscard]] bool chaos_active() const noexcept { return chaos_ != nullptr; }
@@ -190,6 +194,8 @@ class Medium {
     /// the receiver's pending_ window, which may outlive the frame.
     std::shared_ptr<bool> corrupted;
   };
+
+  [[nodiscard]] obs::CounterBlock& counters() const noexcept { return sim_->counters(); }
 
   [[nodiscard]] const Transceiver& get(NodeId id) const;
   [[nodiscard]] Transceiver& get(NodeId id);
@@ -246,7 +252,6 @@ class Medium {
   sim::Simulator* sim_;
   sim::Rng rng_;
   RadioConfig config_;
-  metrics::TransmissionCounters* counters_;
   /// Static and mobile transceivers, indexed apart so that moving a robot
   /// never touches the static side.
   spatial::UniformGrid2D<NodeId> static_index_;
@@ -271,12 +276,7 @@ class Medium {
   /// Receivers of one broadcast land at different instants or collide
   /// separately, so each gets its own single-receiver frame.
   bool frame_per_receiver_ = false;
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t collisions_ = 0;
   std::unique_ptr<chaos::LinkModel> chaos_;  // null unless chaos configured
-  std::uint64_t chaos_drops_ = 0;
-  std::uint64_t chaos_duplicates_ = 0;
-  std::uint64_t chaos_jams_ = 0;
 };
 
 }  // namespace sensrep::net

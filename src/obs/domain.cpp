@@ -65,7 +65,7 @@ void apply_spans(Tracer& t, const Event& e) {
 
 void EventHook::deliver(const Event& e) {
   const KindRow& r = row(e.kind);
-  if (r.counter != kNoCounter) Metrics::inc(r.counter);
+  if (r.counter != kNoCounter) counters_->inc(r.counter);
   if ((r.sinks & kToFlight) != 0) {
     FlightRecorder::note(e.time, e.kind, e.node, e.actor.value_or(0));
   }

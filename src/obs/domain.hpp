@@ -100,10 +100,13 @@ struct Event {
 };
 
 /// Each instrumented site calls emit() once; the hook hands the event to the
-/// sinks its row names. The counter and flight sinks are process-wide; the
-/// event log and tracer are attached per simulation.
+/// sinks its row names. The counter sink is the simulation's counter block
+/// and always live; the flight ring is process-wide; the event log and
+/// tracer are attached per simulation.
 class EventHook {
  public:
+  explicit EventHook(CounterBlock& counters) noexcept : counters_(&counters) {}
+
   void attach(EventLog& log) noexcept { log_ = &log; }
   void attach(Tracer& tracer) noexcept { tracer_ = &tracer; }
   [[nodiscard]] Tracer* tracer() const noexcept { return tracer_; }
@@ -111,9 +114,9 @@ class EventHook {
   /// A kind none of whose sinks is live costs this one test.
   void emit(const Event& e) {
     const KindRow& r = row(e.kind);
-    if (((r.sinks & kToLog) != 0 && log_ != nullptr) ||
+    if (r.counter != kNoCounter ||
+        ((r.sinks & kToLog) != 0 && log_ != nullptr) ||
         ((r.sinks & kToSpans) != 0 && tracer_ != nullptr) ||
-        (r.counter != kNoCounter && Metrics::enabled()) ||
         ((r.sinks & kToFlight) != 0 && FlightRecorder::enabled())) {
       deliver(e);
     }
@@ -122,6 +125,7 @@ class EventHook {
  private:
   void deliver(const Event& e);
 
+  CounterBlock* counters_;
   EventLog* log_ = nullptr;
   Tracer* tracer_ = nullptr;
 };

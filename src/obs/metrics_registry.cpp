@@ -1,83 +1,100 @@
 #include "obs/metrics_registry.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <mutex>
+
 namespace sensrep::obs {
 
 std::atomic<bool> Metrics::enabled_{false};
-std::atomic<std::size_t> Metrics::next_shard_{0};
-std::array<Metrics::Shard, Metrics::kShards> Metrics::shards_{};
+std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(Counter::kCount)>
+    Metrics::process_{};
+std::array<std::atomic<std::uint64_t>,
+           Metrics::kHistStride * static_cast<std::size_t>(Hist::kCount)>
+    Metrics::hists_{};
 std::array<std::atomic<double>, static_cast<std::size_t>(Gauge::kCount)>
     Metrics::gauges_{};
 
-std::string_view to_string(Counter c) noexcept {
-  switch (c) {
-    case Counter::kSensorFailures: return "sensor_failures";
-    case Counter::kSensorRepairs: return "sensor_repairs";
-    case Counter::kReportsArrived: return "reports_arrived";
-    case Counter::kReportsDeduped: return "reports_deduped";
-    case Counter::kDispatches: return "dispatches";
-    case Counter::kRedispatches: return "redispatches";
-    case Counter::kRobotFailures: return "robot_failures";
-    case Counter::kRobotRepairs: return "robot_repairs";
-    case Counter::kLeaseExpiries: return "lease_expiries";
-    case Counter::kTasksLost: return "tasks_lost";
-    case Counter::kFailovers: return "failovers";
-    case Counter::kElections: return "elections";
-    case Counter::kHandbacks: return "handbacks";
-    case Counter::kOwnershipTransfers: return "ownership_transfers";
-    case Counter::kAdoptions: return "adoptions";
-    case Counter::kNetLossDrops: return "net_loss_drops";
-    case Counter::kNetChaosDrops: return "net_chaos_drops";
-    case Counter::kNetChaosDuplicates: return "net_chaos_duplicates";
-    case Counter::kNetChaosJams: return "net_chaos_jams";
-    case Counter::kNetCollisions: return "net_collisions";
-    case Counter::kEventsScheduled: return "events_scheduled";
-    case Counter::kEventsExecuted: return "events_executed";
-    case Counter::kEventsCancelled: return "events_cancelled";
-    case Counter::kServiceCommands: return "service_commands";
-    case Counter::kServiceCommandErrors: return "service_command_errors";
-    case Counter::kTelemetrySamples: return "telemetry_samples";
-    case Counter::kJsonlDropped: return "jsonl_dropped";
-    case Counter::kInvariantViolations: return "invariant_violations";
-    case Counter::kFlightRecDumps: return "flightrec_dumps";
-    case Counter::kCount: break;
+std::mutex Metrics::mu_;
+std::vector<const CounterBlock*> Metrics::live_;
+MetricsSnapshot Metrics::retired_;
+
+CounterBlock::CounterBlock() {
+  const std::lock_guard lock(Metrics::mu_);
+  Metrics::live_.push_back(this);
+}
+
+CounterBlock::~CounterBlock() {
+  const std::lock_guard lock(Metrics::mu_);
+  add_to(Metrics::retired_);
+  auto& live = Metrics::live_;
+  live.erase(std::find(live.begin(), live.end(), this));
+}
+
+std::uint64_t CounterBlock::sum(const std::array<Cell, kNetCategories>& cells) noexcept {
+  std::uint64_t total = 0;
+  for (const Cell& c : cells) total += load(c);
+  return total;
+}
+
+void CounterBlock::add_to(MetricsSnapshot& s) const noexcept {
+  for (std::size_t i = 0; i < counters_.size(); ++i) s.counters[i] += load(counters_[i]);
+  for (std::size_t i = 0; i < kNetCategories; ++i) {
+    s.net_tx[i] += load(tx_[i]);
+    s.net_rx[i] += load(rx_[i]);
   }
-  return "?";
+}
+
+namespace {
+
+/// Name and help text of each Counter, in enum order.
+struct CounterRow {
+  std::string_view name;
+  std::string_view help;
+};
+constexpr CounterRow kCounterRows[] = {
+    {"sensor_failures", "Sensor slots that failed"},
+    {"sensor_repairs", "Sensor slots replaced by a robot"},
+    {"reports_arrived", "Fresh failure reports at a manager"},
+    {"reports_deduped", "Duplicate failure reports suppressed"},
+    {"dispatches", "Robot dispatch decisions"},
+    {"redispatches", "Tasks re-dispatched after robot loss"},
+    {"robot_failures", "Robot crash injections"},
+    {"robot_repairs", "Robot repair completions"},
+    {"lease_expiries", "Robots presumed dead by lease expiry"},
+    {"tasks_lost", "In-flight tasks lost to robot crashes"},
+    {"failovers", "Robots taking over for a dead manager or robot"},
+    {"elections", "Manager elections started"},
+    {"handbacks", "Repaired managers or robots taking their role back"},
+    {"ownership_transfers", "Task-table ownership transfers"},
+    {"adoptions", "Orphan adoptions (fixed-distributed)"},
+    {"net_loss_drops", "Per-receiver Bernoulli link losses"},
+    {"net_chaos_drops", "Burst/partition chaos drops"},
+    {"net_chaos_duplicates", "Chaos duplicated deliveries"},
+    {"net_chaos_jams", "Jam-window suppressed transmissions"},
+    {"net_collisions", "Deliveries lost to busy listeners"},
+    {"events_scheduled", "Events pushed into the queue"},
+    {"events_executed", "Events whose callback ran to completion"},
+    {"events_cancelled", "Events cancelled before firing"},
+    {"service_commands", "Daemon protocol commands accepted"},
+    {"service_command_errors", "Daemon protocol command errors"},
+    {"telemetry_samples", "Telemetry exporter ticks"},
+    {"jsonl_dropped", "JSONL sink lines dropped"},
+    {"invariant_violations", "Invariant oracle violations"},
+    {"flightrec_dumps", "Flight recorder dumps written"},
+};
+static_assert(std::size(kCounterRows) == static_cast<std::size_t>(Counter::kCount));
+
+}  // namespace
+
+std::string_view to_string(Counter c) noexcept {
+  const auto i = static_cast<std::size_t>(c);
+  return i < std::size(kCounterRows) ? kCounterRows[i].name : "?";
 }
 
 std::string_view counter_help(Counter c) noexcept {
-  switch (c) {
-    case Counter::kSensorFailures: return "Sensor slots that failed";
-    case Counter::kSensorRepairs: return "Sensor slots replaced by a robot";
-    case Counter::kReportsArrived: return "Fresh failure reports at a manager";
-    case Counter::kReportsDeduped: return "Duplicate failure reports suppressed";
-    case Counter::kDispatches: return "Robot dispatch decisions";
-    case Counter::kRedispatches: return "Tasks re-dispatched after robot loss";
-    case Counter::kRobotFailures: return "Robot crash injections";
-    case Counter::kRobotRepairs: return "Robot repair completions";
-    case Counter::kLeaseExpiries: return "Robots presumed dead by lease expiry";
-    case Counter::kTasksLost: return "In-flight tasks lost to robot crashes";
-    case Counter::kFailovers: return "Robots taking over for a dead manager or robot";
-    case Counter::kElections: return "Manager elections started";
-    case Counter::kHandbacks: return "Repaired managers or robots taking their role back";
-    case Counter::kOwnershipTransfers: return "Task-table ownership transfers";
-    case Counter::kAdoptions: return "Orphan adoptions (fixed-distributed)";
-    case Counter::kNetLossDrops: return "Per-receiver Bernoulli link losses";
-    case Counter::kNetChaosDrops: return "Burst/partition chaos drops";
-    case Counter::kNetChaosDuplicates: return "Chaos duplicated deliveries";
-    case Counter::kNetChaosJams: return "Jam-window suppressed transmissions";
-    case Counter::kNetCollisions: return "Deliveries lost to busy listeners";
-    case Counter::kEventsScheduled: return "Events pushed into the queue";
-    case Counter::kEventsExecuted: return "Live events delivered by pop";
-    case Counter::kEventsCancelled: return "Events cancelled before firing";
-    case Counter::kServiceCommands: return "Daemon protocol commands accepted";
-    case Counter::kServiceCommandErrors: return "Daemon protocol command errors";
-    case Counter::kTelemetrySamples: return "Telemetry exporter ticks";
-    case Counter::kJsonlDropped: return "JSONL sink lines dropped";
-    case Counter::kInvariantViolations: return "Invariant oracle violations";
-    case Counter::kFlightRecDumps: return "Flight recorder dumps written";
-    case Counter::kCount: break;
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(c);
+  return i < std::size(kCounterRows) ? kCounterRows[i].help : "?";
 }
 
 std::string_view to_string(Gauge g) noexcept {
@@ -123,48 +140,52 @@ void Metrics::observe(Hist h, double v) noexcept {
   const auto& edges = hist_edges(h);
   std::size_t b = 0;
   while (b < kHistBuckets && v > edges[b]) ++b;
+  auto* cells = &hists_[kHistStride * static_cast<std::size_t>(h)];
   // b == kHistBuckets means the implicit +Inf bucket: only count/sum move.
-  if (b < kHistBuckets) {
-    cell(hist_cell(h, b)).fetch_add(1, std::memory_order_relaxed);
-  }
-  cell(hist_cell(h, kHistBuckets)).fetch_add(1, std::memory_order_relaxed);
+  if (b < kHistBuckets) cells[b].fetch_add(1, std::memory_order_relaxed);
+  cells[kHistBuckets].fetch_add(1, std::memory_order_relaxed);
   const double scaled = v * kSumScale;
   const auto micros =
       scaled <= 0 ? 0 : static_cast<std::uint64_t>(scaled + 0.5);
-  cell(hist_cell(h, kHistBuckets + 1)).fetch_add(micros, std::memory_order_relaxed);
+  cells[kHistBuckets + 1].fetch_add(micros, std::memory_order_relaxed);
 }
 
 void Metrics::reset() noexcept {
-  for (Shard& s : shards_) {
-    for (auto& c : s.v) c.store(0, std::memory_order_relaxed);
+  {
+    const std::lock_guard lock(mu_);
+    retired_ = {};
   }
+  for (auto& c : process_) c.store(0, std::memory_order_relaxed);
+  for (auto& c : hists_) c.store(0, std::memory_order_relaxed);
   for (auto& g : gauges_) g.store(0.0, std::memory_order_relaxed);
 }
 
-std::uint64_t Metrics::counter_value(Counter c) noexcept {
-  return sum_cell(counter_cell(c));
+std::uint64_t Metrics::counter_value(Counter c) {
+  return snapshot().counters[static_cast<std::size_t>(c)];
 }
 
 MetricsSnapshot Metrics::snapshot() {
   MetricsSnapshot out;
-  for (std::size_t i = 0; i < out.counters.size(); ++i) {
-    out.counters[i] = sum_cell(counter_cell(static_cast<Counter>(i)));
+  {
+    const std::lock_guard lock(mu_);
+    out = retired_;
+    for (const CounterBlock* b : live_) b->add_to(out);
   }
-  for (std::size_t i = 0; i < kNetCategories; ++i) {
-    out.net_tx[i] = sum_cell(net_tx_cell(i));
-    out.net_rx[i] = sum_cell(net_rx_cell(i));
+  for (std::size_t i = 0; i < out.counters.size(); ++i) {
+    out.counters[i] += process_[i].load(std::memory_order_relaxed);
   }
   for (std::size_t i = 0; i < out.gauges.size(); ++i) {
     out.gauges[i] = gauges_[i].load(std::memory_order_relaxed);
   }
   for (std::size_t i = 0; i < out.hists.size(); ++i) {
-    const auto h = static_cast<Hist>(i);
+    const auto* cells = &hists_[kHistStride * i];
     auto& hs = out.hists[i];
     for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      hs.buckets[b] = sum_cell(hist_cell(h, b));
+      hs.buckets[b] = cells[b].load(std::memory_order_relaxed);
     }
-    hs.count = sum_cell(hist_cell(h, kHistBuckets));
-    hs.sum = static_cast<double>(sum_cell(hist_cell(h, kHistBuckets + 1))) / kSumScale;
+    hs.count = cells[kHistBuckets].load(std::memory_order_relaxed);
+    const auto micros = cells[kHistBuckets + 1].load(std::memory_order_relaxed);
+    hs.sum = static_cast<double>(micros) / kSumScale;
   }
   return out;
 }

@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "metrics/counters.hpp"
 
 namespace sensrep::obs {
 
@@ -38,7 +41,7 @@ enum class Counter : std::uint16_t {
   kNetCollisions,     // listener busy at delivery
   // sim kernel
   kEventsScheduled,   // EventQueue::schedule
-  kEventsExecuted,    // EventQueue::pop delivering a live event
+  kEventsExecuted,    // Simulator::run, after the event's callback returned
   kEventsCancelled,   // EventQueue::cancel
   // service plane
   kServiceCommands,       // kind command
@@ -51,7 +54,7 @@ enum class Counter : std::uint16_t {
   kCount,
 };
 
-/// Last-write-wins gauges (not sharded; plain relaxed store).
+/// Last-write-wins gauges (plain relaxed store; opt-in like histograms).
 enum class Gauge : std::uint16_t {
   kAliveSensors,      // set at telemetry tick
   kLiveRobots,        // set at telemetry tick
@@ -71,11 +74,10 @@ enum class Hist : std::uint16_t {
 
 inline constexpr std::size_t kHistBuckets = 8;  // finite edges; +Inf is implicit
 
-/// Mirror of metrics::MessageCategory label names for the kNetTx/kNetRx
-/// families. src/obs cannot include metrics/counters.hpp (sensrep_metrics
-/// links *against* sensrep_obs), so the table is duplicated here;
-/// net/medium.cpp static_asserts the count and metrics_plane_test asserts
-/// each name against metrics::to_string.
+/// Label names of the kNetTx/kNetRx families, indexed by
+/// metrics::MessageCategory. This is the one name table:
+/// metrics::to_string(MessageCategory) reads it, net/medium.cpp
+/// static_asserts the count and metrics_plane_test pins each entry.
 inline constexpr std::size_t kNetCategories = 10;
 inline constexpr const char* kCategoryLabel[kNetCategories] = {
     "initialization", "beacon",           "guardian_confirm", "failure_report",
@@ -90,9 +92,10 @@ inline constexpr const char* kCategoryLabel[kNetCategories] = {
 /// Finite bucket upper bounds for a histogram (kHistBuckets entries).
 [[nodiscard]] const std::array<double, kHistBuckets>& hist_edges(Hist h) noexcept;
 
-/// Consistent point-in-time-ish view of the registry (per-cell relaxed
-/// loads; each cell is monotone, so repeated snapshots are monotone per
-/// series even while writers run).
+/// Point-in-time view of the registry. Taken under the registry lock, which
+/// also covers a destroyed block's move into the retired total; every cell
+/// only grows, so repeated snapshots are monotone per counter series even
+/// while simulations run and die.
 struct MetricsSnapshot {
   std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)> counters{};
   std::array<std::uint64_t, kNetCategories> net_tx{};
@@ -106,19 +109,72 @@ struct MetricsSnapshot {
   std::array<HistSnapshot, static_cast<std::size_t>(Hist::kCount)> hists{};
 };
 
-/// Process-wide lock-free metrics registry.
-///
-/// Strictly opt-in like obs::Profiler: while disabled (the default) every
-/// instrumentation site costs one relaxed atomic load and a predictable
-/// branch. When enabled, increments go to per-thread-sharded cache-line-
-/// aligned rows of relaxed atomic cells — concurrent simulations on runner
-/// worker threads never contend on a cell — and scrapes aggregate the
-/// shards. The registry only observes; it never touches the virtual clock,
-/// RNG streams, or event ordering, so enabling it cannot change results.
+/// One simulation's counters: every obs::Counter plus transmissions and
+/// receptions per message category. sim::Simulator owns one, and every
+/// layer counts into it through the simulator it holds. Single writer (the
+/// thread running the simulation): a write is a relaxed load and store, as
+/// cheap as a plain increment, and a scrape on another thread loads relaxed.
+/// A block joins the Metrics registry on construction and folds into its
+/// retired total on destruction, so scraped counters never decrease.
+class CounterBlock {
+ public:
+  CounterBlock();
+  ~CounterBlock();
+  CounterBlock(const CounterBlock&) = delete;
+  CounterBlock& operator=(const CounterBlock&) = delete;
+
+  void inc(Counter c, std::uint64_t n = 1) noexcept { bump(counters_[at(c)], n); }
+  /// One radio send (the paper's Fig. 4 metric): a packet relayed over h
+  /// hops costs h transmissions.
+  void tx(metrics::MessageCategory c, std::uint64_t n = 1) noexcept {
+    bump(tx_[at(c)], n);
+  }
+  /// One frame handed to one receiver.
+  void rx(metrics::MessageCategory c) noexcept { bump(rx_[at(c)], 1); }
+
+  [[nodiscard]] std::uint64_t get(Counter c) const noexcept {
+    return load(counters_[at(c)]);
+  }
+  /// Transmissions of one category, and of all of them.
+  [[nodiscard]] std::uint64_t get(metrics::MessageCategory c) const noexcept {
+    return load(tx_[at(c)]);
+  }
+  [[nodiscard]] std::uint64_t total() const noexcept { return sum(tx_); }
+  /// Receptions of every category.
+  [[nodiscard]] std::uint64_t received() const noexcept { return sum(rx_); }
+
+  /// Adds every cell to the counter and net fields of `s`.
+  void add_to(MetricsSnapshot& s) const noexcept;
+
+ private:
+  using Cell = std::atomic<std::uint64_t>;
+
+  template <typename E>
+  static constexpr std::size_t at(E e) noexcept {
+    return static_cast<std::size_t>(e);
+  }
+  static void bump(Cell& cell, std::uint64_t n) noexcept {
+    cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+  static std::uint64_t load(const Cell& cell) noexcept {
+    return cell.load(std::memory_order_relaxed);
+  }
+  static std::uint64_t sum(const std::array<Cell, kNetCategories>& cells) noexcept;
+
+  std::array<Cell, static_cast<std::size_t>(Counter::kCount)> counters_{};
+  std::array<Cell, kNetCategories> tx_{};
+  std::array<Cell, kNetCategories> rx_{};
+};
+
+/// The process's view of every counter block, plus opt-in histograms and
+/// gauges. A scrape sums the live blocks, the retired total of destroyed
+/// ones and a process block for the counts no simulation owns (flight-
+/// recorder dumps, JSONL drops). Histograms and gauges stay behind enable():
+/// while disabled (the default) each probe costs one relaxed load. Nothing
+/// here touches the virtual clock, RNG streams or event ordering.
 class Metrics {
  public:
-  static constexpr std::size_t kShards = 8;  // power of two
-
+  /// Switches histograms and gauges on or off; counters ignore it.
   static void enable(bool on) noexcept {
     enabled_.store(on, std::memory_order_relaxed);
   }
@@ -126,17 +182,10 @@ class Metrics {
     return enabled_.load(std::memory_order_relaxed);
   }
 
+  /// Counts into the process block: for counters no simulation owns. Safe
+  /// from any thread.
   static void inc(Counter c, std::uint64_t n = 1) noexcept {
-    if (!enabled()) return;
-    cell(counter_cell(c)).fetch_add(n, std::memory_order_relaxed);
-  }
-  static void net_tx(std::size_t category, std::uint64_t n = 1) noexcept {
-    if (!enabled()) return;
-    cell(net_tx_cell(category)).fetch_add(n, std::memory_order_relaxed);
-  }
-  static void net_rx(std::size_t category, std::uint64_t n = 1) noexcept {
-    if (!enabled()) return;
-    cell(net_rx_cell(category)).fetch_add(n, std::memory_order_relaxed);
+    process_[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
   }
   static void set_gauge(Gauge g, double v) noexcept {
     if (!enabled()) return;
@@ -144,66 +193,35 @@ class Metrics {
   }
   static void observe(Hist h, double v) noexcept;
 
-  /// Zeroes every cell (tests, start of a measured run). Not safe
-  /// concurrently with writers that must sum exactly.
+  /// Zeroes the retired total, the process block, histograms and gauges
+  /// (tests, start of a measured run). Live blocks belong to their
+  /// simulations and keep their counts.
   static void reset() noexcept;
 
   [[nodiscard]] static MetricsSnapshot snapshot();
 
-  /// Sharded cell total for one counter — test hook.
-  [[nodiscard]] static std::uint64_t counter_value(Counter c) noexcept;
+  /// One counter's process total (snapshot().counters[c]) — test hook.
+  [[nodiscard]] static std::uint64_t counter_value(Counter c);
 
  private:
-  // Flat cell index space: [counters][net_tx][net_rx][hist buckets+count+sum].
-  static constexpr std::size_t kCounterBase = 0;
-  static constexpr std::size_t kNetTxBase =
-      kCounterBase + static_cast<std::size_t>(Counter::kCount);
-  static constexpr std::size_t kNetRxBase = kNetTxBase + kNetCategories;
-  static constexpr std::size_t kHistBase = kNetRxBase + kNetCategories;
-  static constexpr std::size_t kHistStride = kHistBuckets + 2;  // + count + sum
-  static constexpr std::size_t kCells =
-      kHistBase + kHistStride * static_cast<std::size_t>(Hist::kCount);
+  friend class CounterBlock;
 
-  static constexpr std::size_t counter_cell(Counter c) noexcept {
-    return kCounterBase + static_cast<std::size_t>(c);
-  }
-  static constexpr std::size_t net_tx_cell(std::size_t category) noexcept {
-    return kNetTxBase + category;
-  }
-  static constexpr std::size_t net_rx_cell(std::size_t category) noexcept {
-    return kNetRxBase + category;
-  }
-  static constexpr std::size_t hist_cell(Hist h, std::size_t off) noexcept {
-    return kHistBase + kHistStride * static_cast<std::size_t>(h) + off;
-  }
+  // The live blocks and the retired total (its counter and net fields).
+  static std::mutex mu_;
+  static std::vector<const CounterBlock*> live_;
+  static MetricsSnapshot retired_;
 
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, kCells> v{};
-  };
-
-  /// Per-thread shard row; threads round-robin over rows so runner workers
-  /// land on distinct cache lines.
-  [[nodiscard]] static std::atomic<std::uint64_t>& cell(std::size_t idx) noexcept {
-    return shards_[shard_index()].v[idx];
-  }
-  [[nodiscard]] static std::size_t shard_index() noexcept {
-    thread_local const std::size_t idx =
-        next_shard_.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
-    return idx;
-  }
-  [[nodiscard]] static std::uint64_t sum_cell(std::size_t idx) noexcept {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards_) total += s.v[idx].load(std::memory_order_relaxed);
-    return total;
-  }
-
-  // Histogram sums are stored in fixed-point micro-units so they fit the
-  // same u64 fetch_add cells as everything else.
+  // Histogram cells: [bucket 0..kHistBuckets) [count] [sum]. Sums are stored
+  // in fixed-point micro-units so they fit the same u64 fetch_add cells.
+  static constexpr std::size_t kHistStride = kHistBuckets + 2;
   static constexpr double kSumScale = 1e6;
 
   static std::atomic<bool> enabled_;
-  static std::atomic<std::size_t> next_shard_;
-  static std::array<Shard, kShards> shards_;
+  static std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(Counter::kCount)>
+      process_;
+  static std::array<std::atomic<std::uint64_t>,
+                    kHistStride * static_cast<std::size_t>(Hist::kCount)>
+      hists_;
   static std::array<std::atomic<double>, static_cast<std::size_t>(Gauge::kCount)> gauges_;
 };
 

@@ -126,7 +126,7 @@ std::optional<std::string> Daemon::handle_line(std::string_view line) {
   try {
     cmd = parse_command(line);
   } catch (const std::exception& e) {
-    obs::Metrics::inc(obs::Counter::kServiceCommandErrors);
+    sim_->simulator().counters().inc(obs::Counter::kServiceCommandErrors);
     return std::string("err ") + e.what();
   }
   if (!cmd) return std::nullopt;
@@ -135,7 +135,7 @@ std::optional<std::string> Daemon::handle_line(std::string_view line) {
                                .node = static_cast<std::uint32_t>(cmd->kind)});
   std::string reply = is_mutation(cmd->kind) ? apply_mutation(*cmd) : dispatch_query(*cmd);
   if (reply.rfind("err", 0) == 0) {
-    obs::Metrics::inc(obs::Counter::kServiceCommandErrors);
+    sim_->simulator().counters().inc(obs::Counter::kServiceCommandErrors);
   }
   return reply;
 }

@@ -176,7 +176,7 @@ void TelemetryExporter::tick() {
   ++samples_;
   // Registry state (not an emission): gauges track the latest sample even
   // while muted, so a post-restore scrape shows live values immediately.
-  obs::Metrics::inc(obs::Counter::kTelemetrySamples);
+  sim_.simulator().counters().inc(obs::Counter::kTelemetrySamples);
   const auto deployed = static_cast<double>(sim_.config().sensor_count());
   obs::Metrics::set_gauge(obs::Gauge::kAliveSensors,
                           deployed - static_cast<double>(s.open_failures));

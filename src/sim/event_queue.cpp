@@ -34,7 +34,7 @@ bool EventQueue::cancel(EventId id) noexcept {
   // still comparable; skim()/maybe_compact() recycle it on discard.
   s.state = SlotState::kCancelled;
   --live_count_;
-  obs::Metrics::inc(obs::Counter::kEventsCancelled);
+  count(obs::Counter::kEventsCancelled);
   ++dead_in_heap_;
   maybe_compact();
   return true;
@@ -51,7 +51,6 @@ SimTime EventQueue::next_time() const {
 
 EventQueue::Popped EventQueue::pop() {
   const obs::ScopedTimer probe(obs::Probe::kEventPop);
-  obs::Metrics::inc(obs::Counter::kEventsExecuted);
   skim();
   assert(!heap_times_.empty());
   const HeapEntry top{heap_times_.front(), heap_keys_.front()};
@@ -78,7 +77,7 @@ void EventQueue::Popped::callback() {
 void EventQueue::rearm(std::uint32_t index, SimTime t) {
   if (!is_valid_time(t)) throw std::invalid_argument("EventQueue::schedule: invalid time");
   const obs::ScopedTimer probe(obs::Probe::kEventPush);
-  obs::Metrics::inc(obs::Counter::kEventsScheduled);
+  count(obs::Counter::kEventsScheduled);
   Slot& s = slot_at(index);
   s.seq = next_seq_++;
   s.state = SlotState::kLive;

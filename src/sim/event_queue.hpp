@@ -67,7 +67,9 @@ class EventQueue {
   /// heap allocation, counted by boxed_stores().
   static constexpr std::size_t kInlineBytes = 48;
 
-  EventQueue() = default;
+  /// Schedules and cancels are counted into `counters` (the owning
+  /// simulator's block); a standalone queue (null) counts nothing.
+  explicit EventQueue(obs::CounterBlock* counters = nullptr) : counters_(counters) {}
   ~EventQueue();
 
   EventQueue(const EventQueue&) = delete;
@@ -88,7 +90,7 @@ class EventQueue {
       }
     }
     const obs::ScopedTimer probe(obs::Probe::kEventPush);
-    obs::Metrics::inc(obs::Counter::kEventsScheduled);
+    count(obs::Counter::kEventsScheduled);
     const EventId id{store(std::forward<F>(cb), next_seq_++, period)};
     heap_push(HeapEntry{t, id.value});
     return id;
@@ -297,6 +299,10 @@ class EventQueue {
   void recycle_slot(std::uint32_t index) noexcept;
   /// Popped-handle release: destroys the callable, then recycles.
   void release_popped(std::uint32_t index) noexcept;
+  void count(obs::Counter c) noexcept {
+    if (counters_ != nullptr) counters_->inc(c);
+  }
+
   /// Pushes a popped periodic slot back at `t` as a fresh schedule.
   void rearm(std::uint32_t index, SimTime t);
 
@@ -323,6 +329,7 @@ class EventQueue {
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_count_ = 0;
   std::uint64_t boxed_stores_ = 0;
+  obs::CounterBlock* counters_;
 };
 
 }  // namespace sensrep::sim

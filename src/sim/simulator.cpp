@@ -17,7 +17,7 @@ std::uint64_t Simulator::run(SimTime horizon, std::uint64_t limit) {
     auto ev = queue_.pop();
     now_ = ev.time;
     ev.callback();
-    ++executed_;
+    counters_.inc(obs::Counter::kEventsExecuted);
     ++n;
     if (interrupt_ && n % interrupt_stride_ == 0 && interrupt_()) {
       interrupted_ = true;

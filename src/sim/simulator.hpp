@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/metrics_registry.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
@@ -24,7 +25,7 @@ class Simulator {
  public:
   using Callback = EventQueue::Callback;
 
-  Simulator() = default;
+  Simulator() : queue_(&counters_) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -102,8 +103,18 @@ class Simulator {
   /// Live pending events (diagnostics).
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
-  /// Total events executed since construction (diagnostics).
-  [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
+  /// Events whose callback returned, since construction: the block's
+  /// kEventsExecuted, counted after the callback. A callback that reads it
+  /// (a telemetry sample) does not see its own event, and an event whose
+  /// callback threw is not counted.
+  [[nodiscard]] std::uint64_t executed() const noexcept {
+    return counters_.get(obs::Counter::kEventsExecuted);
+  }
+
+  /// This simulation's counters. Every layer reaches them through the
+  /// simulator it already holds.
+  [[nodiscard]] obs::CounterBlock& counters() noexcept { return counters_; }
+  [[nodiscard]] const obs::CounterBlock& counters() const noexcept { return counters_; }
 
   /// Scheduled callables too big for an inline queue slot (diagnostics).
   [[nodiscard]] std::uint64_t boxed_stores() const noexcept { return queue_.boxed_stores(); }
@@ -113,9 +124,9 @@ class Simulator {
   /// honouring stop() and the interrupt probe. Returns events executed.
   std::uint64_t run(SimTime horizon, std::uint64_t limit);
 
+  obs::CounterBlock counters_;  // before queue_, which counts into it
   EventQueue queue_;
   SimTime now_ = 0.0;
-  std::uint64_t executed_ = 0;
   bool stop_requested_ = false;
   std::function<bool()> interrupt_;
   std::uint64_t interrupt_stride_ = 256;

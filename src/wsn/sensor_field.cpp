@@ -23,7 +23,8 @@ SensorField::SensorField(sim::Simulator& simulator, net::Medium& medium,
       policy_(&policy),
       log_(&log),
       config_(config),
-      rng_(rng) {
+      rng_(rng),
+      events_(simulator.counters()) {
   if (config.beacon_period <= 0.0) {
     throw std::invalid_argument("SensorField: beacon_period must be positive");
   }

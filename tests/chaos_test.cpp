@@ -91,23 +91,22 @@ TEST(ChaosConfigTest, RejectsMalformedPartitionWindows) {
 
 TEST(RadioConfigTest, MediumConstructionValidates) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   net::RadioConfig bad;
   bad.bitrate_bps = 0.0;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, kArea, 50.0),
                std::invalid_argument);
   bad.bitrate_bps = 11e6;
   bad.loss_probability = kNaN;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, kArea, 50.0),
                std::invalid_argument);
   bad.loss_probability = 0.0;
   bad.unicast_retries = -1;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, kArea, 50.0),
                std::invalid_argument);
   bad.unicast_retries = 3;
   bad.chaos.burst.enabled = true;
   bad.chaos.burst.p_enter_bad = -1.0;
-  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, counters, kArea, 50.0),
+  EXPECT_THROW(net::Medium(sim, sim::Rng(1), bad, kArea, 50.0),
                std::invalid_argument);
 }
 
@@ -197,18 +196,17 @@ net::Packet beacon(net::NodeId src) {
 
 TEST(MediumChaosTest, DefaultMediumHasNoChaosModel) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
-  net::Medium medium(sim, sim::Rng(1), net::RadioConfig{}, counters, kArea, 50.0);
+  net::Medium medium(sim, sim::Rng(1), net::RadioConfig{}, kArea, 50.0);
   EXPECT_FALSE(medium.chaos_active());
 }
 
 TEST(MediumChaosTest, DuplicationDeliversTwiceButCountsOneTransmission) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
+  const obs::CounterBlock& counters = sim.counters();
   net::RadioConfig cfg;
   cfg.chaos.duplication.enabled = true;
   cfg.chaos.duplication.probability = 1.0;
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
   EXPECT_TRUE(medium.chaos_active());
 
   Rx rx;
@@ -223,13 +221,13 @@ TEST(MediumChaosTest, DuplicationDeliversTwiceButCountsOneTransmission) {
 
 TEST(MediumChaosTest, GlobalPartitionJamsSenderButStillCountsTheTransmission) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
+  const obs::CounterBlock& counters = sim.counters();
   net::RadioConfig cfg;
   PartitionWindow w;
   w.start_s = 0.0;
   w.end_s = 10.0;
   cfg.chaos.partitions.push_back(w);
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
 
   Rx rx;
   medium.attach(1, {0, 0}, 50.0, {});
@@ -251,7 +249,6 @@ TEST(MediumChaosTest, GlobalPartitionJamsSenderButStillCountsTheTransmission) {
 
 TEST(MediumChaosTest, ZonedPartitionJamsOnlyNodesInsideTheRect) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   net::RadioConfig cfg;
   PartitionWindow w;
   w.start_s = 0.0;
@@ -260,7 +257,7 @@ TEST(MediumChaosTest, ZonedPartitionJamsOnlyNodesInsideTheRect) {
   w.zone_min = {20, -10};
   w.zone_max = {40, 10};  // covers node 2, not nodes 1 and 3
   cfg.chaos.partitions.push_back(w);
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
 
   Rx in_zone, out_zone;
   medium.attach(1, {0, 0}, 50.0, {});
@@ -274,13 +271,13 @@ TEST(MediumChaosTest, ZonedPartitionJamsOnlyNodesInsideTheRect) {
 
 TEST(MediumChaosTest, UnicastIntoJamBurnsAllAttemptsAndFails) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
+  const obs::CounterBlock& counters = sim.counters();
   net::RadioConfig cfg;
   PartitionWindow w;
   w.start_s = 0.0;
   w.end_s = 10.0;
   cfg.chaos.partitions.push_back(w);
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
 
   Rx rx;
   medium.attach(1, {0, 0}, 50.0, {});
@@ -296,13 +293,13 @@ TEST(MediumChaosTest, UnicastIntoJamBurnsAllAttemptsAndFails) {
 
 TEST(MediumChaosTest, BurstLossDropsBroadcastReceptions) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
+  const obs::CounterBlock& counters = sim.counters();
   net::RadioConfig cfg;
   cfg.chaos.burst.enabled = true;
   cfg.chaos.burst.p_enter_bad = 1.0;  // permanently bad from the first draw
   cfg.chaos.burst.p_exit_bad = 0.0;
   cfg.chaos.burst.loss_bad = 1.0;
-  net::Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  net::Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
 
   Rx rx;
   medium.attach(1, {0, 0}, 50.0, {});

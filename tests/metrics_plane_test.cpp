@@ -1,16 +1,19 @@
-// Tests for the production metrics plane: the lock-free registry, the
-// Prometheus/Influx/webhook exporters, the /metrics HTTP endpoint, the
-// flight recorder, and the JsonlSink drop mode. The concurrency cases run
-// increments across the runner's worker pool — these are the TSan targets.
+// Tests for the production metrics plane: the per-simulation counter blocks
+// and the registry that sums them, the Prometheus/Influx/webhook exporters,
+// the /metrics HTTP endpoint, the flight recorder, and the JsonlSink drop
+// mode. The concurrency cases run blocks and whole simulations on the
+// runner's worker pool while scraping — these are the TSan targets.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -27,6 +30,7 @@
 #include "obs/domain.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
+#include "core/simulation.hpp"
 #include "runner/executor.hpp"
 #include "service/telemetry.hpp"
 
@@ -65,30 +69,61 @@ struct FlightGuard {
 // Registry
 
 TEST(MetricsRegistry, DisabledIncrementsAreNoOps) {
+  // Histograms and gauges are opt-in; counters are always on (next test).
   Metrics::reset();
   Metrics::enable(false);
-  Metrics::inc(Counter::kDispatches);
-  Metrics::net_tx(0);
   Metrics::observe(Hist::kRepairLatency, 10.0);
   Metrics::set_gauge(Gauge::kSimClock, 5.0);
   const obs::MetricsSnapshot s = Metrics::snapshot();
-  EXPECT_EQ(s.counters[static_cast<std::size_t>(Counter::kDispatches)], 0u);
-  EXPECT_EQ(s.net_tx[0], 0u);
   EXPECT_EQ(s.hists[0].count, 0u);
   EXPECT_EQ(s.gauges[static_cast<std::size_t>(Gauge::kSimClock)], 0.0);
 }
 
+TEST(MetricsRegistry, CountersCountWhileDisabled) {
+  Metrics::reset();
+  Metrics::enable(false);
+  {
+    obs::CounterBlock block;
+    block.inc(Counter::kDispatches);
+    block.tx(metrics::MessageCategory::kBeacon);
+    Metrics::inc(Counter::kJsonlDropped);
+    const obs::MetricsSnapshot s = Metrics::snapshot();
+    EXPECT_EQ(s.counters[static_cast<std::size_t>(Counter::kDispatches)], 1u);
+    EXPECT_EQ(s.counters[static_cast<std::size_t>(Counter::kJsonlDropped)], 1u);
+    EXPECT_EQ(s.net_tx[1], 1u);
+  }
+  Metrics::reset();
+}
+
 TEST(MetricsRegistry, CountersSumExactly) {
   MetricsGuard guard;
-  Metrics::inc(Counter::kSensorFailures);
-  Metrics::inc(Counter::kSensorFailures, 41);
-  Metrics::net_tx(1, 7);
-  Metrics::net_rx(1, 5);
+  obs::CounterBlock a;
+  obs::CounterBlock b;
+  a.inc(Counter::kSensorFailures);
+  b.inc(Counter::kSensorFailures, 40);
+  Metrics::inc(Counter::kSensorFailures);  // the process block
+  a.tx(metrics::MessageCategory::kBeacon, 7);
+  b.rx(metrics::MessageCategory::kBeacon);
   EXPECT_EQ(Metrics::counter_value(Counter::kSensorFailures), 42u);
   const obs::MetricsSnapshot s = Metrics::snapshot();
   EXPECT_EQ(s.counters[static_cast<std::size_t>(Counter::kSensorFailures)], 42u);
   EXPECT_EQ(s.net_tx[1], 7u);
-  EXPECT_EQ(s.net_rx[1], 5u);
+  EXPECT_EQ(s.net_rx[1], 1u);
+}
+
+TEST(MetricsRegistry, DestroyedBlocksStayInTheTotals) {
+  MetricsGuard guard;
+  obs::CounterBlock live;
+  live.inc(Counter::kElections, 2);
+  {
+    obs::CounterBlock dying;
+    dying.inc(Counter::kElections, 3);
+    dying.tx(metrics::MessageCategory::kData, 4);
+    EXPECT_EQ(Metrics::counter_value(Counter::kElections), 5u);
+  }
+  const obs::MetricsSnapshot s = Metrics::snapshot();
+  EXPECT_EQ(s.counters[static_cast<std::size_t>(Counter::kElections)], 5u);
+  EXPECT_EQ(s.net_tx[static_cast<std::size_t>(metrics::MessageCategory::kData)], 4u);
 }
 
 TEST(MetricsRegistry, HistogramBucketsCountAndSum) {
@@ -109,16 +144,24 @@ TEST(MetricsRegistry, HistogramBucketsCountAndSum) {
 
 TEST(MetricsRegistry, ResetZeroesEverything) {
   MetricsGuard guard;
+  obs::CounterBlock live;
+  live.inc(Counter::kElections, 2);
+  {
+    obs::CounterBlock retired;
+    retired.inc(Counter::kElections, 9);
+  }
   Metrics::inc(Counter::kElections, 9);
   Metrics::observe(Hist::kDispatchDistance, 10.0);
   Metrics::reset();
-  EXPECT_EQ(Metrics::counter_value(Counter::kElections), 0u);
+  // The retired total and the process block are gone; a live simulation's
+  // block is its own and keeps counting.
+  EXPECT_EQ(Metrics::counter_value(Counter::kElections), 2u);
   EXPECT_EQ(Metrics::snapshot().hists[1].count, 0u);
 }
 
 TEST(MetricsRegistry, CategoryLabelsMirrorMessageCategories) {
-  // src/obs cannot see metrics/counters.hpp (it links the other way), so the
-  // label table is duplicated; this is the test that keeps the mirror honest.
+  // kCategoryLabel is the one name table: metrics::to_string reads it, and
+  // this pins every entry to the category the counter block indexes with.
   ASSERT_EQ(obs::kNetCategories,
             static_cast<std::size_t>(metrics::MessageCategory::kCount));
   for (std::size_t i = 0; i < obs::kNetCategories; ++i) {
@@ -126,6 +169,18 @@ TEST(MetricsRegistry, CategoryLabelsMirrorMessageCategories) {
               metrics::to_string(static_cast<metrics::MessageCategory>(i)))
         << "category " << i;
   }
+}
+
+TEST(MetricsRegistry, CounterRowsFollowTheEnum) {
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(Counter::kCount); ++i) {
+    const auto c = static_cast<Counter>(i);
+    EXPECT_TRUE(names.insert(obs::to_string(c)).second) << obs::to_string(c);
+    EXPECT_NE(obs::counter_help(c), "?");
+  }
+  EXPECT_EQ(obs::to_string(Counter::kSensorFailures), "sensor_failures");
+  EXPECT_EQ(obs::to_string(Counter::kEventsExecuted), "events_executed");
+  EXPECT_EQ(obs::to_string(Counter::kFlightRecDumps), "flightrec_dumps");
 }
 
 // ---------------------------------------------------------------------------
@@ -141,20 +196,24 @@ TEST(MetricsConcurrency, ExactSumAcrossRunnerWorkers) {
   exec_opts.jobs = 4;
   runner::Executor exec(exec_opts);
   const auto batch = exec.run(jobs, [](const runner::Job&) {
+    obs::CounterBlock block;  // one per job, like a Simulation's
     for (std::uint64_t i = 0; i < kPerJob; ++i) {
-      Metrics::inc(Counter::kDispatches);
-      Metrics::net_tx(i % obs::kNetCategories);
+      block.inc(Counter::kDispatches);
+      block.tx(static_cast<metrics::MessageCategory>(i % obs::kNetCategories));
+      Metrics::inc(Counter::kJsonlDropped);
       Metrics::observe(Hist::kRepairLatency, static_cast<double>(i % 512));
     }
     return core::ExperimentResult{};
   });
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(Metrics::counter_value(Counter::kDispatches), kJobs * kPerJob);
   const obs::MetricsSnapshot s = Metrics::snapshot();
+  const std::uint64_t n = kJobs * kPerJob;
+  EXPECT_EQ(s.counters[static_cast<std::size_t>(Counter::kDispatches)], n);
+  EXPECT_EQ(s.counters[static_cast<std::size_t>(Counter::kJsonlDropped)], n);
   std::uint64_t tx = 0;
   for (const auto v : s.net_tx) tx += v;
-  EXPECT_EQ(tx, kJobs * kPerJob);
-  EXPECT_EQ(s.hists[0].count, kJobs * kPerJob);
+  EXPECT_EQ(tx, n);
+  EXPECT_EQ(s.hists[0].count, n);
 }
 
 TEST(MetricsConcurrency, ScrapeDuringIncrementsIsMonotone) {
@@ -164,15 +223,17 @@ TEST(MetricsConcurrency, ScrapeDuringIncrementsIsMonotone) {
   std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&go] {
+      obs::CounterBlock block;  // retires into the totals as the thread ends
       while (!go.load(std::memory_order_acquire)) {}
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        Metrics::inc(Counter::kEventsExecuted);
+        block.inc(Counter::kEventsExecuted);
       }
     });
   }
   go.store(true, std::memory_order_release);
-  // Every cell is monotone, so snapshots taken mid-increment must never go
-  // backwards and never exceed the final total.
+  // Every cell only grows and a dying block's counts move into the retired
+  // total under the registry lock, so snapshots taken mid-increment must
+  // never go backwards and never exceed the final total.
   std::uint64_t last = 0;
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t now = Metrics::counter_value(Counter::kEventsExecuted);
@@ -182,6 +243,128 @@ TEST(MetricsConcurrency, ScrapeDuringIncrementsIsMonotone) {
   for (auto& t : writers) t.join();
   EXPECT_EQ(Metrics::counter_value(Counter::kEventsExecuted), 4 * kPerThread);
   EXPECT_LE(last, 4 * kPerThread);
+}
+
+/// The counts a scrape must agree with, summed over finished runs.
+struct FaultTotals {
+  std::array<std::uint64_t, obs::kNetCategories> tx{};
+  std::uint64_t robot_failures = 0, tasks_lost = 0, redispatches = 0, adoptions = 0,
+                robot_repairs = 0, elections = 0, ownership_transfers = 0;
+
+  void add(const core::ExperimentResult& r) {
+    for (std::size_t c = 0; c < tx.size(); ++c) tx[c] += r.transmissions[c];
+    robot_failures += r.robot_failures;
+    tasks_lost += r.tasks_lost;
+    redispatches += r.redispatches;
+    adoptions += r.adoptions;
+    robot_repairs += r.robot_repairs;
+    elections += r.elections;
+    ownership_transfers += r.ownership_transfers;
+  }
+};
+
+TEST(MetricsConcurrency, SimulationsOnWorkersSumIntoMonotoneScrapes) {
+  MetricsGuard guard;
+  // Two of each algorithm under robot faults, so every fault counter moves.
+  std::vector<runner::Job> jobs(6);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].index = i;
+    auto& cfg = jobs[i].config;
+    cfg.algorithm = static_cast<core::Algorithm>(i % 3);
+    cfg.robots = 4;
+    cfg.seed = 2026 + i;
+    cfg.sim_duration = 3000.0;
+    cfg.robot_faults.mtbf = 800.0;
+    cfg.robot_faults.mttr = 300.0;
+    if (cfg.algorithm == core::Algorithm::kCentralized) {
+      cfg.robot_faults.manager_crash_at = 1000.0;
+      cfg.robot_faults.manager_repair_at = 1800.0;
+    }
+  }
+  std::atomic<bool> done{false};
+  std::size_t scrapes = 0;
+  bool monotone = true;
+  std::thread scraper([&] {
+    obs::MetricsSnapshot last = Metrics::snapshot();
+    while (!done.load(std::memory_order_acquire)) {
+      const obs::MetricsSnapshot now = Metrics::snapshot();
+      for (std::size_t i = 0; i < now.counters.size(); ++i) {
+        monotone = monotone && now.counters[i] >= last.counters[i];
+      }
+      for (std::size_t i = 0; i < obs::kNetCategories; ++i) {
+        monotone = monotone && now.net_tx[i] >= last.net_tx[i] &&
+                   now.net_rx[i] >= last.net_rx[i];
+      }
+      last = now;
+      ++scrapes;
+    }
+  });
+  runner::ExecutorOptions exec_opts;
+  exec_opts.jobs = 3;
+  runner::Executor exec(exec_opts);
+  const auto batch = exec.run(jobs, [](const runner::Job& job) {
+    core::Simulation sim(job.config);
+    sim.run();
+    return sim.result();  // the simulation, and its block, die here
+  });
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  ASSERT_TRUE(batch.ok());
+  EXPECT_TRUE(monotone);
+  EXPECT_GT(scrapes, 0u);
+
+  FaultTotals want;
+  for (const auto& r : batch.results) want.add(*r);
+  const obs::MetricsSnapshot got = Metrics::snapshot();
+  const auto counter = [&got](Counter c) {
+    return got.counters[static_cast<std::size_t>(c)];
+  };
+  for (std::size_t c = 0; c < obs::kNetCategories; ++c) {
+    EXPECT_EQ(got.net_tx[c], want.tx[c]) << obs::kCategoryLabel[c];
+  }
+  EXPECT_EQ(counter(Counter::kRobotFailures), want.robot_failures);
+  EXPECT_EQ(counter(Counter::kTasksLost), want.tasks_lost);
+  EXPECT_EQ(counter(Counter::kRedispatches), want.redispatches);
+  EXPECT_EQ(counter(Counter::kAdoptions), want.adoptions);
+  EXPECT_EQ(counter(Counter::kRobotRepairs), want.robot_repairs);
+  EXPECT_EQ(counter(Counter::kElections), want.elections);
+  EXPECT_EQ(counter(Counter::kOwnershipTransfers), want.ownership_transfers);
+  EXPECT_GT(want.robot_failures, 0u);
+  EXPECT_GT(want.redispatches, 0u);
+  EXPECT_GT(want.adoptions, 0u);
+  EXPECT_GT(want.elections, 0u);
+  EXPECT_GT(want.ownership_transfers, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The two fault counts that are not counters
+
+TEST(FaultStatsTest, DynamicRefloodsCountAsFailoversButNotFailoverEvents) {
+  core::SimulationConfig cfg;
+  cfg.algorithm = core::Algorithm::kDynamicDistributed;
+  cfg.robots = 4;
+  cfg.seed = 2026;
+  cfg.sim_duration = 8000.0;
+  cfg.robot_faults.mtbf = 3000.0;
+  cfg.robot_faults.mttr = 600.0;
+  core::Simulation sim(cfg);
+  sim.run();
+  EXPECT_EQ(sim.result().failover_events, 0u);
+  EXPECT_GT(sim.counters().get(Counter::kFailovers), 0u);
+}
+
+TEST(FaultStatsTest, FixedSubareaReturnsCountAsHandbacksButNotResultHandbacks) {
+  core::SimulationConfig cfg;
+  cfg.algorithm = core::Algorithm::kFixedDistributed;
+  cfg.robots = 4;
+  cfg.seed = 2026;
+  cfg.sim_duration = 8000.0;
+  cfg.robot_faults.mtbf = 3000.0;
+  cfg.robot_faults.mttr = 600.0;
+  core::Simulation sim(cfg);
+  sim.run();
+  EXPECT_EQ(sim.result().handbacks, 0u);
+  EXPECT_GT(sim.counters().get(Counter::kHandbacks), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,8 +377,9 @@ TEST(Exporters, PrometheusEscape) {
 
 TEST(Exporters, PrometheusTextShape) {
   MetricsGuard guard;
-  Metrics::inc(Counter::kSensorFailures, 3);
-  Metrics::net_tx(1, 10);  // beacon
+  obs::CounterBlock block;
+  block.inc(Counter::kSensorFailures, 3);
+  block.tx(metrics::MessageCategory::kBeacon, 10);
   Metrics::observe(Hist::kRepairLatency, 45.0);
   Metrics::set_gauge(Gauge::kLiveRobots, 4.0);
   const std::string text = obs::prometheus_text(Metrics::snapshot());

@@ -1,4 +1,4 @@
-// Unit tests for metrics: transmission counters, summary statistics,
+// Unit tests for metrics: per-category transmission counts, summary statistics,
 // CSV emission, and the failure log.
 
 #include <gtest/gtest.h>
@@ -12,33 +12,29 @@
 #include "metrics/histogram.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/timeline.hpp"
+#include "obs/metrics_registry.hpp"
 
 namespace sensrep::metrics {
 namespace {
 
-// --- TransmissionCounters -------------------------------------------------
+// --- per-category transmissions in a simulation's counter block ---------
 
 TEST(CountersTest, StartsAtZero) {
-  TransmissionCounters c;
+  obs::CounterBlock c;
   EXPECT_EQ(c.total(), 0u);
   EXPECT_EQ(c.get(MessageCategory::kBeacon), 0u);
 }
 
 TEST(CountersTest, AddAccumulatesPerCategory) {
-  TransmissionCounters c;
-  c.add(MessageCategory::kBeacon);
-  c.add(MessageCategory::kBeacon, 9);
-  c.add(MessageCategory::kFailureReport, 3);
+  obs::CounterBlock c;
+  c.tx(MessageCategory::kBeacon);
+  c.tx(MessageCategory::kBeacon, 9);
+  c.tx(MessageCategory::kFailureReport, 3);
+  c.rx(MessageCategory::kBeacon);
   EXPECT_EQ(c.get(MessageCategory::kBeacon), 10u);
   EXPECT_EQ(c.get(MessageCategory::kFailureReport), 3u);
   EXPECT_EQ(c.total(), 13u);
-}
-
-TEST(CountersTest, ResetClears) {
-  TransmissionCounters c;
-  c.add(MessageCategory::kLocationUpdate, 5);
-  c.reset();
-  EXPECT_EQ(c.total(), 0u);
+  EXPECT_EQ(c.received(), 1u);
 }
 
 TEST(CountersTest, NamesAreStable) {

@@ -34,7 +34,7 @@ struct Rx {
 
 class MediumTest : public ::testing::Test {
  protected:
-  MediumTest() : medium_(sim_, sim::Rng(1), RadioConfig{}, counters_, kArea, 50.0) {}
+  MediumTest() : medium_(sim_, sim::Rng(1), RadioConfig{}, kArea, 50.0) {}
 
   Packet beacon(NodeId src) {
     Packet p;
@@ -45,7 +45,6 @@ class MediumTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  metrics::TransmissionCounters counters_;
   Medium medium_;
 };
 
@@ -155,8 +154,8 @@ TEST_F(MediumTest, TransmissionsCountedByCategory) {
   report.type = PacketType::kFailureReport;
   report.payload = FailureReportPayload{};
   medium_.unicast(1, 2, report);
-  EXPECT_EQ(counters_.get(MessageCategory::kBeacon), 1u);
-  EXPECT_EQ(counters_.get(MessageCategory::kFailureReport), 1u);
+  EXPECT_EQ(sim_.counters().get(MessageCategory::kBeacon), 1u);
+  EXPECT_EQ(sim_.counters().get(MessageCategory::kFailureReport), 1u);
 }
 
 TEST_F(MediumTest, CategoryOverrideRedirectsAccounting) {
@@ -166,8 +165,8 @@ TEST_F(MediumTest, CategoryOverrideRedirectsAccounting) {
   p.payload = LocationUpdatePayload{};
   p.category_override = MessageCategory::kInitialization;
   medium_.broadcast(1, p);
-  EXPECT_EQ(counters_.get(MessageCategory::kLocationUpdate), 0u);
-  EXPECT_EQ(counters_.get(MessageCategory::kInitialization), 1u);
+  EXPECT_EQ(sim_.counters().get(MessageCategory::kLocationUpdate), 0u);
+  EXPECT_EQ(sim_.counters().get(MessageCategory::kInitialization), 1u);
 }
 
 TEST_F(MediumTest, DeliveryDelayIsPositiveAndBounded) {
@@ -228,7 +227,7 @@ TEST_F(MediumTest, NodesNearRejectsNegativeAndNaNRadii) {
 TEST_F(MediumTest, AccountBooksWithoutDelivering) {
   medium_.attach(1, {0, 0}, 50.0, {});
   medium_.account(MessageCategory::kBeacon, 41);
-  EXPECT_EQ(counters_.get(MessageCategory::kBeacon), 41u);
+  EXPECT_EQ(sim_.counters().get(MessageCategory::kBeacon), 41u);
   EXPECT_EQ(medium_.deliveries(), 0u);
 }
 
@@ -236,11 +235,10 @@ TEST_F(MediumTest, SerializationDelayGrowsWithPacketSize) {
   // A data packet (80 B) serializes slower than a beacon (40 B) at 11 Mbps;
   // with zero backoff the delivery times expose exactly that difference.
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.max_backoff_s = 0.0;
   cfg.propagation_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   std::vector<double> arrival;
   medium.attach(2, {10, 0}, 50.0,
@@ -270,10 +268,9 @@ TEST_F(MediumTest, SerializationDelayGrowsWithPacketSize) {
 // selects, in ascending id order.
 TEST(MediumIndexTest, OutOfFieldNodesAreReachedExactly) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.max_backoff_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, Rect{{0.0, 0.0}, {100.0, 100.0}}, 25.0);
+  Medium medium(sim, sim::Rng(1), cfg, Rect{{0.0, 0.0}, {100.0, 100.0}}, 25.0);
   sim::Rng rng(77);
   const auto anywhere = [&rng] { return Vec2{rng.uniform(-300, 400), rng.uniform(-300, 400)}; };
 
@@ -332,10 +329,9 @@ TEST(MediumIndexTest, OutOfFieldNodesAreReachedExactly) {
 // d^2 <= r^2 scan over the true positions, in ascending id order.
 TEST(MediumIndexTest, StaticListsFollowAttachMoveAndDetach) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.max_backoff_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, Rect{{0.0, 0.0}, {300.0, 300.0}}, 60.0);
+  Medium medium(sim, sim::Rng(1), cfg, Rect{{0.0, 0.0}, {300.0, 300.0}}, 60.0);
   sim::Rng rng(91);
   const auto anywhere = [&rng] { return Vec2{rng.uniform(-50, 350), rng.uniform(-50, 350)}; };
 
@@ -410,11 +406,11 @@ TEST(MediumIndexTest, StaticListsFollowAttachMoveAndDetach) {
 
 TEST(MediumLossTest, UnicastArqRetriesUntilSuccess) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
+  const obs::CounterBlock& counters = sim.counters();
   RadioConfig cfg;
   cfg.loss_probability = 0.5;
   cfg.unicast_retries = 10;
-  Medium medium(sim, sim::Rng(3), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(3), cfg, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {10, 0}, 50.0, [&](const Packet&, NodeId) { ++delivered; });
@@ -435,10 +431,9 @@ TEST(MediumLossTest, UnicastArqRetriesUntilSuccess) {
 
 TEST(MediumLossTest, BroadcastLosesSomeReceivers) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.loss_probability = 0.4;
-  Medium medium(sim, sim::Rng(9), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(9), cfg, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   int delivered = 0;
   for (NodeId n = 2; n < 42; ++n) {
@@ -459,11 +454,11 @@ TEST(MediumLossTest, BroadcastLosesSomeReceivers) {
 // Regression guard — downstream metrics (Fig. 3/4 overhead) depend on it.
 TEST(MediumLossTest, UnicastCountsOneTransmissionPerAttempt) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
+  const obs::CounterBlock& counters = sim.counters();
   RadioConfig cfg;
   cfg.loss_probability = 1.0;  // every attempt lost
   cfg.unicast_retries = 4;
-  Medium medium(sim, sim::Rng(3), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(3), cfg, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   int delivered = 0;
   medium.attach(2, {10, 0}, 50.0, [&](const Packet&, NodeId) { ++delivered; });
@@ -479,10 +474,10 @@ TEST(MediumLossTest, UnicastCountsOneTransmissionPerAttempt) {
 
 TEST(MediumLossTest, LosslessUnreachableUnicastFailsAfterOneTransmission) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
+  const obs::CounterBlock& counters = sim.counters();
   RadioConfig cfg;
   cfg.unicast_retries = 7;  // must NOT be burned: retrying is futile at loss=0
-  Medium medium(sim, sim::Rng(3), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(3), cfg, kArea, 50.0);
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {200, 0}, 50.0, {});  // out of range
   Packet p;
@@ -496,11 +491,10 @@ TEST(MediumLossTest, LosslessUnreachableUnicastFailsAfterOneTransmission) {
 
 TEST(MediumCollisionTest, OverlappingBroadcastsCorruptEachOther) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.model_collisions = true;
   cfg.max_backoff_s = 0.0;  // no jitter: frames overlap deterministically
-  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});
@@ -518,11 +512,10 @@ TEST(MediumCollisionTest, OverlappingBroadcastsCorruptEachOther) {
 
 TEST(MediumCollisionTest, SeparatedBroadcastsBothArrive) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.model_collisions = true;
   cfg.max_backoff_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});
@@ -543,10 +536,9 @@ TEST(MediumCollisionTest, BackoffJitterMostlySeparatesContenders) {
   // With the default 2 ms backoff and ~46 us frames, two contending
   // broadcasts collide rarely — the CSMA stand-in works.
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.model_collisions = true;
-  Medium medium(sim, sim::Rng(5), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(5), cfg, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});
@@ -566,11 +558,10 @@ TEST(MediumCollisionTest, BackoffJitterMostlySeparatesContenders) {
 
 TEST(MediumCollisionTest, UnicastsAreProtected) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   RadioConfig cfg;
   cfg.model_collisions = true;
   cfg.max_backoff_s = 0.0;
-  Medium medium(sim, sim::Rng(1), cfg, counters, kArea, 50.0);
+  Medium medium(sim, sim::Rng(1), cfg, kArea, 50.0);
   int delivered = 0;
   medium.attach(1, {0, 0}, 50.0, {});
   medium.attach(2, {20, 0}, 50.0, {});
@@ -596,7 +587,7 @@ TEST(MediumCollisionTest, UnicastsAreProtected) {
 /// A sender (id 1) at the origin and receivers 2..(1 + n) in its range.
 struct FrameRig {
   explicit FrameRig(RadioConfig cfg = {}, int receivers = 3)
-      : medium(sim, sim::Rng(11), cfg, counters, kArea, 50.0) {
+      : medium(sim, sim::Rng(11), cfg, kArea, 50.0) {
     medium.attach(1, {0, 0}, 50.0, {});
     for (NodeId id = 2; id < static_cast<NodeId>(2 + receivers); ++id) {
       medium.attach(id, {10, static_cast<double>(id)}, 50.0,
@@ -616,7 +607,6 @@ struct FrameRig {
   }
 
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
   Medium medium;
   std::vector<NodeId> log;  // receptions in order; kNoNode marks a timer
   std::map<NodeId, Medium::ReceiveFn> on_rx;

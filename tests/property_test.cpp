@@ -64,8 +64,7 @@ TEST_P(GeoRoutingProperty, DeliversIffConnected) {
   }
 
   sim::Simulator simulator;
-  metrics::TransmissionCounters counters;
-  net::Medium medium(simulator, sim::Rng(p.seed + 1), {}, counters, area, p.range);
+  net::Medium medium(simulator, sim::Rng(p.seed + 1), {}, area, p.range);
 
   struct Node {
     Vec2 pos;

@@ -107,7 +107,7 @@ class ProbeAlgorithm final : public CoordinationAlgorithm {
 class ClosestLiveRobot : public ::testing::TestWithParam<bool> {
  protected:
   ClosestLiveRobot()
-      : medium_(sim_, sim::Rng(3), net::RadioConfig{}, counters_,
+      : medium_(sim_, sim::Rng(3), net::RadioConfig{},
                 geometry::Rect::sized(400.0, 400.0), 63.0) {
     cfg_.robots = 4;
     cfg_.sensors_per_robot = 0;  // robot ids start at 0; no sensor traffic
@@ -168,7 +168,6 @@ class ClosestLiveRobot : public ::testing::TestWithParam<bool> {
 
   SimulationConfig cfg_;
   sim::Simulator sim_;
-  metrics::TransmissionCounters counters_;
   net::Medium medium_;
   metrics::FailureLog log_;
   ProbeAlgorithm probe_;

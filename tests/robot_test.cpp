@@ -104,7 +104,7 @@ class NullSensorPolicy : public wsn::SensorPolicy {
 class RobotFixture : public ::testing::Test {
  protected:
   RobotFixture()
-      : medium_(sim_, sim::Rng(3), net::RadioConfig{}, counters_,
+      : medium_(sim_, sim::Rng(3), net::RadioConfig{},
                 geometry::Rect::sized(200.0, 200.0), 63.0) {
     wsn::FieldConfig fc;
     fc.spontaneous_failures = false;
@@ -129,7 +129,6 @@ class RobotFixture : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  metrics::TransmissionCounters counters_;
   net::Medium medium_;
   NullSensorPolicy sensor_policy_;
   metrics::FailureLog log_;

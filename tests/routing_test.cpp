@@ -187,7 +187,7 @@ TEST(FaceRoutingTest, FaceChangeDetectedOnlyWithProgress) {
 class RoutingHarness {
  public:
   explicit RoutingHarness(double range = 15.0)
-      : medium_(sim_, sim::Rng(5), net::RadioConfig{}, counters_,
+      : medium_(sim_, sim::Rng(5), net::RadioConfig{},
                 geometry::Rect::sized(100.0, 100.0), range),
         range_(range) {}
 
@@ -265,7 +265,6 @@ class RoutingHarness {
   };
 
   sim::Simulator sim_;
-  metrics::TransmissionCounters counters_;
   net::Medium medium_;
   double range_;
   std::map<NodeId, std::unique_ptr<NodeState>> nodes_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -342,6 +343,31 @@ TEST(SimulatorTest, ExecutedCounterAccumulates) {
   for (int i = 0; i < 7; ++i) s.at(static_cast<double>(i), [] {});
   s.run_all();
   EXPECT_EQ(s.executed(), 7u);
+}
+
+TEST(SimulatorTest, ExecutedAndTheBlockAgreeAfterAThrowingCallback) {
+  // A daemon catches a throwing command and keeps running. executed() reads
+  // the block's kEventsExecuted, counted once the callback returns: the
+  // throwing event counts in neither, and the next one in both.
+  Simulator s;
+  s.at(1.0, [] { throw std::runtime_error("boom"); });
+  s.at(2.0, [] {});
+  EXPECT_THROW(s.run_all(), std::runtime_error);
+  EXPECT_EQ(s.executed(), 0u);
+  EXPECT_EQ(s.executed(), s.counters().get(obs::Counter::kEventsExecuted));
+  s.run_all();
+  EXPECT_EQ(s.executed(), 1u);
+  EXPECT_EQ(s.executed(), s.counters().get(obs::Counter::kEventsExecuted));
+}
+
+TEST(SimulatorTest, ACallbackDoesNotSeeItsOwnEventExecuted) {
+  Simulator s;
+  std::uint64_t seen = 99;
+  s.at(1.0, [] {});
+  s.at(2.0, [&] { seen = s.executed(); });
+  s.run_all();
+  EXPECT_EQ(seen, 1u);
+  EXPECT_EQ(s.executed(), 2u);
 }
 
 // --- Rng ------------------------------------------------------------------------

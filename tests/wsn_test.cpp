@@ -160,7 +160,7 @@ class FieldFixture : public ::testing::Test {
   static constexpr NodeId kManagerId = 1000;
 
   FieldFixture()
-      : medium_(sim_, sim::Rng(7), net::RadioConfig{}, counters_,
+      : medium_(sim_, sim::Rng(7), net::RadioConfig{},
                 geometry::Rect::sized(200.0, 200.0), 63.0) {}
 
   /// Builds a 3x3 grid field with 40 m spacing (everyone has 2-4 neighbors
@@ -193,7 +193,6 @@ class FieldFixture : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  metrics::TransmissionCounters counters_;
   net::Medium medium_;
   StubPolicy policy_;
   metrics::FailureLog log_;
@@ -219,8 +218,7 @@ TEST_F(FieldFixture, DeployBuildsStaticAdjacency) {
 // a mobile robot in range.
 TEST(StaticNeighborsTest, EqualBruteSensorScanWithManagerAndRobotInRange) {
   sim::Simulator sim;
-  metrics::TransmissionCounters counters;
-  net::Medium medium(sim, sim::Rng(3), net::RadioConfig{}, counters,
+  net::Medium medium(sim, sim::Rng(3), net::RadioConfig{},
                      Rect::sized(300.0, 300.0), 63.0);
   StubPolicy policy;
   metrics::FailureLog log;
@@ -310,9 +308,9 @@ TEST_F(FieldFixture, DeadNodeStopsBeaconTraffic) {
   build();
   sim_.run_until(1.0);
   field_->fail_slot(0);
-  const auto beacons_before = counters_.get(metrics::MessageCategory::kBeacon);
+  const auto beacons_before = sim_.counters().get(metrics::MessageCategory::kBeacon);
   sim_.run_until(sim_.now() + 100.0);
-  const auto beacons_after = counters_.get(metrics::MessageCategory::kBeacon);
+  const auto beacons_after = sim_.counters().get(metrics::MessageCategory::kBeacon);
   // 8 alive sensors x 10 periods = 80 beacons expected (+- tick phase).
   EXPECT_NEAR(static_cast<double>(beacons_after - beacons_before), 80.0, 9.0);
 }
@@ -608,10 +606,10 @@ TEST_F(FieldFixture, ReliableReportsSendBoundedRetries) {
   build(cfg);
   sim_.run_until(1.0);
   medium_.set_alive(kManagerId, false);
-  const auto tx_before = counters_.get(metrics::MessageCategory::kFailureReport);
+  const auto tx_before = sim_.counters().get(metrics::MessageCategory::kFailureReport);
   field_->fail_slot(4);
   sim_.run_until(300.0);
-  const auto tx_after = counters_.get(metrics::MessageCategory::kFailureReport);
+  const auto tx_after = sim_.counters().get(metrics::MessageCategory::kFailureReport);
   // 1 + 3 retries, each a handful of hop transmissions before the drop.
   EXPECT_GT(tx_after, tx_before);
   EXPECT_LE(tx_after - tx_before, 4u * 8u);

@@ -56,10 +56,11 @@
 //   --profile-csv=PATH  like --profile, but also write the per-probe counters
 //                       as CSV (probe,calls,total_ns) — the CI regression
 //                       artifacts
-//   --metrics-out=PATH  enable the metrics registry and write its final state
-//                       as Prometheus text exposition (trace_check
-//                       --prometheus validates it)
-//   --influx-out=PATH   enable the registry and write the final snapshot as
+//   --metrics-out=PATH  enable the registry's histograms and gauges and write
+//                       its final state (counters included) as Prometheus
+//                       text exposition (trace_check --prometheus
+//                       validates it)
+//   --influx-out=PATH   as --metrics-out, but write the final snapshot as
 //                       InfluxDB line protocol, timestamped at the final
 //                       virtual clock (trace_check --influx validates it)
 //   --flightrec-dump=PATH  enable the flight recorder and dump the ring as
@@ -340,8 +341,9 @@ int main(int argc, char** argv) {
       obs::Profiler::reset();
       obs::Profiler::enable(true);
     }
-    // Strictly opt-in, like the profiler: without these flags the registry
-    // and recorder stay disabled and every probe is one relaxed load.
+    // Counters are always on; histograms, gauges and the recorder are
+    // opt-in, like the profiler: without these flags each of their probes
+    // is one relaxed load.
     if (!metrics_out.empty() || !influx_out.empty()) {
       obs::Metrics::reset();
       obs::Metrics::enable(true);
