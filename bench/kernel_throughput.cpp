@@ -43,20 +43,52 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
+/// Stand-in for a SensorNode: each series' tick touches its own
+/// heap-allocated record, as a beacon tick touches its node. The pad keeps
+/// records a couple of cache lines apart.
+struct SeriesRecord {
+  long long ticks = 0;
+  char pad[120];
+};
+
+/// A beacon tick's shape: a pointer capture that names its record to the
+/// event queue, which prefetches it a few ticks ahead.
+struct RecordTick {
+  SeriesRecord* record;
+  void operator()() const { ++record->ticks; }
+  [[nodiscard]] const void* prefetch_target() const noexcept { return record; }
+};
+
+/// Args: series, random phases. With phases 0 every series fires at the same
+/// instants (10 s, 20 s, ...); with 1 each starts at a random phase in
+/// [0, 10 s), as the field's beacon series do, so consecutive ticks touch
+/// scattered records and slots. 100 ticks per series either way.
 void BM_PeriodicTimers(benchmark::State& state) {
-  const auto timers = static_cast<int>(state.range(0));
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  const bool random_phases = state.range(1) != 0;
+  std::vector<std::unique_ptr<SeriesRecord>> records;
+  for (std::size_t i = 0; i < timers; ++i) records.push_back(std::make_unique<SeriesRecord>());
+  // Allocation order would otherwise follow phase order; shuffle it apart.
+  sensrep::sim::Rng(11).shuffle(records);
   for (auto _ : state) {
     sensrep::sim::Simulator sim;
-    long long ticks = 0;
-    for (int i = 0; i < timers; ++i) {
-      sim.every(10.0, [&ticks] { ++ticks; });
+    sensrep::sim::Rng rng(7);
+    for (std::size_t i = 0; i < timers; ++i) {
+      const double first = random_phases ? rng.uniform(0.0, 10.0) : 10.0;
+      sim.every(first, 10.0, RecordTick{records[i].get()});
     }
     sim.run_until(1000.0);
-    benchmark::DoNotOptimize(ticks);
   }
-  state.SetItemsProcessed(state.iterations() * timers * 100);
+  long long ticks = 0;
+  for (const auto& r : records) ticks += r->ticks;
+  benchmark::DoNotOptimize(ticks);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * timers * 100));
 }
-BENCHMARK(BM_PeriodicTimers)->Arg(100)->Arg(800);
+BENCHMARK(BM_PeriodicTimers)
+    ->Args({100, 0})
+    ->Args({800, 0})
+    ->Args({100000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 // --- spatial index vs brute force (E16) --------------------------------------
 //

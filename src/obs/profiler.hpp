@@ -14,7 +14,7 @@ namespace sensrep::obs {
 /// contributes to both counters.
 enum class Probe : std::uint8_t {
   kEventPush,         // sim::EventQueue::schedule
-  kEventPop,          // sim::EventQueue::pop (heap maintenance, not callbacks)
+  kEventPop,          // sim::EventQueue::pop/pop_due (lane and heap selection, not callbacks)
   kRouterNextHop,     // routing::GeoRouter::forward (next-hop selection + tx)
   kPlanarizer,        // routing::planar_neighbors (Gabriel/RNG pruning)
   kSupervise,         // lease supervision sweep (per-algorithm override incl.)

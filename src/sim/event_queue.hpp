@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -24,6 +26,14 @@ struct EventId {
 
   [[nodiscard]] bool valid() const noexcept { return value != 0; }
   friend bool operator==(EventId, EventId) = default;
+};
+
+/// A scheduled callable that names the object its run will touch (a beacon
+/// tick names its sensor node), so that the queue can prefetch it a few
+/// pops ahead. Purely a hint: it never changes what runs or when.
+template <typename Fn>
+concept NamesPrefetchTarget = requires(const Fn& f) {
+  { f.prefetch_target() } -> std::convertible_to<const void*>;
 };
 
 /// Priority queue of timestamped callbacks with O(log n) schedule/pop and
@@ -54,6 +64,16 @@ struct EventId {
 /// time + period with the next sequence number — exactly what a callback
 /// re-scheduling itself as its last act would get — so its EventId never
 /// changes and cancel() stops the series, also from inside its own run.
+///
+/// Re-arms do not enter the heap when they can avoid it: each period in use
+/// (up to kMaxLanes of them) has a FIFO lane, and a re-arm at or after its
+/// lane's tail is appended there. Every lane is therefore sorted by (time,
+/// seq), and pop() takes the least of the heap top and the lane heads, so the
+/// pop order is the heap's own. In a Simulator, where pops come in time
+/// order, every re-arm lands in its lane; a re-arm that would not (a raw
+/// queue popped out of order) goes to the heap. A lane's upcoming entries
+/// are known, so a lane pop prefetches the slots and the objects
+/// (prefetch_target()) that the next pops will touch.
 ///
 class EventQueue {
  public:
@@ -150,15 +170,29 @@ class EventQueue {
   /// Pops the earliest live event. Requires !empty().
   Popped pop();
 
+  /// Pops the earliest live event if there is one due at or before
+  /// `horizon`: next_time() and pop() in one selection (the run loop's step).
+  std::optional<Popped> pop_due(SimTime horizon);
+
   // --- diagnostics (tests, regression guards) -------------------------------
 
-  /// Heap entries currently held, live and lazily-cancelled alike. The
-  /// compaction invariant keeps this <= 2 * size() + 1 between operations
-  /// (beyond the small compaction floor).
-  [[nodiscard]] std::size_t heap_size() const noexcept { return heap_times_.size(); }
+  /// Entries currently held in the heap and the lanes, live and
+  /// lazily-cancelled alike. The compaction invariant keeps this
+  /// <= 2 * size() + 1 between operations (beyond the small compaction floor).
+  [[nodiscard]] std::size_t heap_size() const noexcept {
+    return heap_times_.size() + lane_entries();
+  }
 
-  /// Lazily-cancelled entries still parked in the heap.
-  [[nodiscard]] std::size_t dead_entries() const noexcept { return dead_in_heap_; }
+  /// Entries (live or cancelled) held in the periodic lanes; the rest of
+  /// heap_size() is in the heap.
+  [[nodiscard]] std::size_t lane_entries() const noexcept {
+    std::size_t n = 0;
+    for (const Lane& lane : lanes_) n += lane.count;
+    return n;
+  }
+
+  /// Lazily-cancelled entries still parked in the heap or a lane.
+  [[nodiscard]] std::size_t dead_entries() const noexcept { return dead_entries_; }
 
   /// Slots ever materialized by the pool. Bounded by the
   /// peak number of simultaneously pending-or-parked entries (itself bounded
@@ -215,8 +249,8 @@ class EventQueue {
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::uint32_t kChunkSlots = 256;
-  /// Compaction kicks in only past this many heap entries, so tiny queues
-  /// never churn their heap.
+  /// Compaction kicks in only past this many heap and lane entries, so tiny
+  /// queues never churn their heap.
   static constexpr std::size_t kCompactFloor = 64;
 
   /// kCancelled: callback destroyed, but the slot is parked (not on the
@@ -224,10 +258,22 @@ class EventQueue {
   /// stable for tie-break comparisons against the parked entry.
   enum class SlotState : std::uint8_t { kFree, kLive, kPopped, kCancelled };
 
+  struct Slot;
+
+  /// What a slot's type-erased callable can do, one static table per
+  /// callable type. `target` is null unless the callable is stored inline
+  /// and names, through a prefetch_target() member, the object its run will
+  /// touch.
+  struct Ops {
+    using Target = const void* (*)(const Slot&) noexcept;
+    void (*invoke)(Slot&);
+    void (*destroy)(Slot&);
+    Target target;
+  };
+
   struct Slot {
     alignas(std::max_align_t) unsigned char buf[kInlineBytes];
-    void (*invoke)(Slot&) = nullptr;
-    void (*destroy)(Slot&) = nullptr;
+    const Ops* ops = nullptr;  // null while the slot holds no callable
     std::uint64_t seq = 0;
     Duration period = 0.0;  // > 0: re-armed at time + period after each run
     std::uint32_t gen = 1;
@@ -241,8 +287,17 @@ class EventQueue {
     static Fn& ref(Slot& s) noexcept {
       return *std::launder(reinterpret_cast<Fn*>(s.buf));
     }
+    static const Fn& ref(const Slot& s) noexcept {
+      return *std::launder(reinterpret_cast<const Fn*>(s.buf));
+    }
     static void invoke(Slot& s) { ref(s)(); }
     static void destroy(Slot& s) { ref(s).~Fn(); }
+    static const void* target(const Slot& s) noexcept {
+      if constexpr (NamesPrefetchTarget<Fn>) return ref(s).prefetch_target();
+      return nullptr;
+    }
+    static constexpr Ops kOps{&invoke, &destroy,
+                              NamesPrefetchTarget<Fn> ? &target : nullptr};
   };
 
   template <typename Fn>
@@ -252,6 +307,7 @@ class EventQueue {
     }
     static void invoke(Slot& s) { (*ptr(s))(); }
     static void destroy(Slot& s) { delete ptr(s); }
+    static constexpr Ops kOps{&invoke, &destroy, nullptr};
   };
 
   [[nodiscard]] Slot& slot_at(std::uint32_t index) noexcept {
@@ -273,13 +329,11 @@ class EventQueue {
     try {
       if constexpr (fits_inline) {
         ::new (static_cast<void*>(s.buf)) Fn(std::forward<F>(cb));
-        s.invoke = &InlineOps<Fn>::invoke;
-        s.destroy = &InlineOps<Fn>::destroy;
+        s.ops = &InlineOps<Fn>::kOps;
       } else {
         Fn* boxed = new Fn(std::forward<F>(cb));
         ::new (static_cast<void*>(s.buf)) Fn*(boxed);
-        s.invoke = &BoxedOps<Fn>::invoke;
-        s.destroy = &BoxedOps<Fn>::destroy;
+        s.ops = &BoxedOps<Fn>::kOps;
         ++boxed_stores_;
       }
     } catch (...) {
@@ -303,7 +357,9 @@ class EventQueue {
     if (counters_ != nullptr) counters_->inc(c);
   }
 
-  /// Pushes a popped periodic slot back at `t` as a fresh schedule.
+  /// Pushes a popped periodic slot back at `t` as a fresh schedule: onto the
+  /// tail of its period's lane when that keeps the lane sorted, else into
+  /// the heap.
   void rearm(std::uint32_t index, SimTime t);
 
   [[nodiscard]] bool is_live(std::uint64_t key) const noexcept;
@@ -314,16 +370,66 @@ class EventQueue {
   /// Discards cancelled entries from the top of the heap.
   void skim();
 
-  /// Rebuilds the heap without its dead entries once they outnumber the
-  /// live ones (the cancel/reschedule-churn bound).
+  /// Rebuilds the heap and filters the lanes without their dead entries once
+  /// they outnumber the live ones (the cancel/reschedule-churn bound).
   void maybe_compact() noexcept;
+
+  /// A FIFO of re-armed entries of one period, sorted by (time, seq): a ring
+  /// buffer whose power-of-two capacity grows with its live entries.
+  struct Lane {
+    Duration period = 0.0;
+    std::vector<HeapEntry> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    [[nodiscard]] const HeapEntry& at(std::size_t i) const noexcept {
+      return ring[(head + i) & (ring.size() - 1)];
+    }
+    [[nodiscard]] const HeapEntry& front() const noexcept { return ring[head]; }
+    [[nodiscard]] const HeapEntry& back() const noexcept { return at(count - 1); }
+    void push_back(const HeapEntry& e);
+    void pop_front() noexcept {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+  };
+
+  /// Distinct periods with a lane of their own. The simulation runs a
+  /// handful (beacon ticks, heartbeats, supervision, telemetry); every pop
+  /// scans all lane heads, so the scan stays a few compares. Series of
+  /// further periods re-arm through the heap; an emptied lane is reused.
+  static constexpr std::size_t kMaxLanes = 8;
+
+  /// Lane a re-arm at `t` of a `period` series can append to, or null.
+  [[nodiscard]] Lane* lane_for(Duration period, SimTime t);
+
+  /// Discards cancelled entries from the head of `lane`.
+  void skim(Lane& lane) noexcept;
+
+  /// Where the earliest live entry sits, after skimming: kHeapSource, a lane
+  /// index, or kNoSource when nothing is pending.
+  static constexpr std::size_t kHeapSource = kMaxLanes;
+  static constexpr std::size_t kNoSource = kMaxLanes + 1;
+  [[nodiscard]] std::size_t select();
+  /// Time of the entry at the head of `source` (not kNoSource).
+  [[nodiscard]] SimTime head_time(std::size_t source) const noexcept {
+    return source == kHeapSource ? heap_times_.front() : lanes_[source].front().time;
+  }
+
+  /// Removes the entry select() chose and hands its slot to a Popped.
+  Popped take(std::size_t source);
+
+  /// Warms the cache for the pops after a lane pop: the slots of entries a
+  /// little ahead in `lane`, and the objects their callables will touch.
+  void prefetch_ahead(const Lane& lane) const noexcept;
 
   // 4-ary min-heap under pops_later, structure-of-arrays: entry i is
   // (heap_times_[i], heap_keys_[i]); the two vectors move in lockstep.
   std::vector<SimTime> heap_times_;
   std::vector<std::uint64_t> heap_keys_;
+  std::vector<Lane> lanes_;  // at most kMaxLanes
   std::uint64_t next_seq_ = 1;
-  std::size_t dead_in_heap_ = 0;
+  std::size_t dead_entries_ = 0;  // cancelled, in the heap or a lane
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;

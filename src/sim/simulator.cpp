@@ -12,11 +12,11 @@ std::uint64_t Simulator::run(SimTime horizon, std::uint64_t limit) {
   std::uint64_t n = 0;
   stop_requested_ = false;
   interrupted_ = false;
-  while (n < limit && !queue_.empty() && !stop_requested_) {
-    if (queue_.next_time() > horizon) break;
-    auto ev = queue_.pop();
-    now_ = ev.time;
-    ev.callback();
+  while (n < limit && !stop_requested_) {
+    auto ev = queue_.pop_due(horizon);
+    if (!ev) break;
+    now_ = ev->time;
+    ev->callback();
     counters_.inc(obs::Counter::kEventsExecuted);
     ++n;
     if (interrupt_ && n % interrupt_stride_ == 0 && interrupt_()) {

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -257,6 +258,237 @@ TEST(EventQueueDifferential, RandomScheduleCancelPopMatchesReferenceExactly) {
     EXPECT_TRUE(reference.empty());
     EXPECT_EQ(pooled_log, reference_log) << "round " << round;
   }
+}
+
+// The simulator's own contract: nothing is scheduled before the last popped
+// time, so every re-arm lands on its period's lane (the test above, which
+// pops out of order, covers the heap fallback). Periods that are not exact
+// in binary make repeated additions round, and same-instant starts and
+// schedules at next_time() put lane heads and heap entries on exact ties.
+// Cancels hit series whose next entry sits in a lane, series cancel
+// themselves from inside their own run, and a cancel storm compacts.
+TEST(EventQueueDifferential, InOrderSchedulesThroughLanesMatchReferenceExactly) {
+  constexpr std::array<double, 3> kPeriods{0.1, 10.0 / 3.0, 7.7};
+  Rng rng(20261019);
+  std::size_t lane_cancels = 0;
+  std::size_t self_cancels = 0;
+  std::size_t compactions = 0;
+  std::size_t ties = 0;
+  std::size_t peak_lane_entries = 0;
+  for (int round = 0; round < 30; ++round) {
+    EventQueue pooled;
+    ReferenceQueue reference;
+    struct Event {
+      EventId id;
+      std::size_t ref;
+      double period;
+      bool active;
+      bool popped;       // a series that ran once has its next entry in a lane
+      bool self_cancel;  // its next run cancels its own series
+    };
+    std::vector<Event> events;  // by tag
+    std::vector<int> pooled_log;
+    std::vector<int> reference_log;
+    double now = 0.0;
+
+    const auto active_tags = [&] {
+      std::vector<int> tags;
+      for (std::size_t t = 0; t < events.size(); ++t) {
+        if (events[t].active) tags.push_back(static_cast<int>(t));
+      }
+      return tags;
+    };
+    const auto cancel = [&](int tag) {
+      Event& e = events[static_cast<std::size_t>(tag)];
+      if (e.period > 0.0 && e.popped) ++lane_cancels;
+      const std::size_t dead_before = pooled.dead_entries();
+      EXPECT_EQ(pooled.cancel(e.id), reference.cancel(e.ref));
+      if (dead_before > 0 && pooled.dead_entries() == 0) ++compactions;
+      e.active = false;
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      const double roll = rng.uniform01();
+      if (op == 1500) {
+        for (const int tag : active_tags()) {
+          if (rng.chance(0.8)) cancel(tag);
+        }
+      } else if (roll < 0.4 || pooled.empty()) {
+        // At the next entry's instant (often a lane head), or on a 0.1 grid
+        // from now whose sums round differently from the lanes' additions.
+        const double t = !pooled.empty() && rng.chance(0.2)
+                             ? pooled.next_time()
+                             : now + 0.1 * static_cast<double>(rng.between(0, 30));
+        const double period = rng.chance(0.5) ? kPeriods[rng.below(kPeriods.size())] : 0.0;
+        const int tag = static_cast<int>(events.size());
+        const EventId id = pooled.schedule(
+            t,
+            [&pooled, &pooled_log, &events, tag] {
+              pooled_log.push_back(tag);
+              const Event& e = events[static_cast<std::size_t>(tag)];
+              if (e.self_cancel) pooled_log.push_back(pooled.cancel(e.id) ? -1 : -2);
+            },
+            period);
+        events.push_back({id, reference.schedule(t, tag, period), period, true, false, false});
+      } else if (roll < 0.55) {
+        const auto tags = active_tags();
+        if (!tags.empty()) cancel(tags[rng.below(tags.size())]);
+      } else if (roll < 0.58) {
+        const auto tags = active_tags();
+        if (!tags.empty()) {
+          Event& e = events[static_cast<std::size_t>(tags[rng.below(tags.size())])];
+          if (e.period > 0.0) e.self_cancel = true;
+        }
+      } else {
+        ASSERT_DOUBLE_EQ(pooled.next_time(), reference.next_time());
+        auto pa = pooled.pop();
+        const auto [time, tag] = reference.pop();
+        ASSERT_EQ(pa.time, time) << "round " << round << " op " << op;
+        ASSERT_GE(time, now);
+        if (time == now && op > 0) ++ties;
+        now = time;
+        pa.callback();
+        reference_log.push_back(tag);
+        Event& e = events[static_cast<std::size_t>(tag)];
+        e.popped = true;
+        if (e.period == 0.0) e.active = false;
+        if (e.self_cancel) {
+          ++self_cancels;
+          reference_log.push_back(reference.cancel(e.ref) ? -1 : -2);
+          e.active = false;
+        }
+        ASSERT_EQ(pooled_log, reference_log) << "round " << round << " op " << op;
+      }
+      ASSERT_EQ(pooled.size(), reference.size()) << "round " << round << " op " << op;
+      ASSERT_EQ(pooled.empty(), reference.empty());
+      peak_lane_entries = std::max(peak_lane_entries, pooled.lane_entries());
+    }
+
+    for (const int tag : active_tags()) {
+      if (events[static_cast<std::size_t>(tag)].period > 0.0) cancel(tag);
+    }
+    while (!pooled.empty()) {
+      ASSERT_FALSE(reference.empty());
+      ASSERT_EQ(pooled.next_time(), reference.next_time());
+      pooled.pop().callback();
+      reference_log.push_back(reference.pop().second);
+    }
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(pooled_log, reference_log) << "round " << round;
+  }
+  // The script reached every path it is meant to cover.
+  EXPECT_GT(peak_lane_entries, 50u);
+  EXPECT_GT(lane_cancels, 1000u);
+  EXPECT_GT(self_cancels, 100u);
+  EXPECT_GT(compactions, 20u);
+  EXPECT_GT(ties, 1000u);
+}
+
+// --- periodic lanes ----------------------------------------------------------
+
+// A lane head and a heap entry at the same instant pop in schedule order:
+// the one-shot scheduled before the series' re-arm first, the one scheduled
+// after it second.
+TEST(EventLanes, LaneHeadAndHeapEntryAtOneInstantPopBySeq) {
+  EventQueue q;
+  std::vector<int> log;
+  const EventId series = q.schedule(0.0, [&log] { log.push_back(0); }, 1.0);
+  q.schedule(1.0, [&log] { log.push_back(1); });
+  q.pop().callback();  // runs the series at 0, re-arms it at 1 onto its lane
+  EXPECT_EQ(q.lane_entries(), 1u);
+  q.schedule(1.0, [&log] { log.push_back(2); });
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(q.next_time(), 1.0);
+    q.pop().callback();
+  }
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 0, 2}));
+  EXPECT_TRUE(q.cancel(series));
+  EXPECT_TRUE(q.empty());
+}
+
+// heap_size() counts lane entries too, and compaction keeps the sum of heap
+// and lanes within 2 * size() + 1 under cancel/re-schedule churn of series.
+TEST(EventLanes, HeapSizeCountsLanesAndStaysBoundedUnderChurn) {
+  EventQueue q;
+  Rng rng(7);
+  std::vector<EventId> ids;
+  for (int i = 0; i < 500; ++i) {
+    ids.push_back(q.schedule(rng.uniform01(), [] {}, 1.0));
+  }
+  double now = 0.0;
+  std::size_t most_in_lanes = 0;
+  for (int op = 0; op < 200000; ++op) {
+    if (rng.chance(0.3)) {
+      const std::size_t pick = rng.below(ids.size());
+      EXPECT_TRUE(q.cancel(ids[pick]));
+      ids[pick] = q.schedule(now + rng.uniform01(), [] {}, 1.0);
+    } else {
+      auto ev = q.pop();
+      ASSERT_GE(ev.time, now);
+      now = ev.time;
+      ev.callback();
+    }
+    ASSERT_EQ(q.size(), ids.size());
+    ASSERT_LE(q.heap_size(), std::max<std::size_t>(2 * q.size() + 1, 64)) << "op " << op;
+    most_in_lanes = std::max(most_in_lanes, q.lane_entries());
+  }
+  EXPECT_GT(most_in_lanes, 250u);
+}
+
+/// 10k series of one period run for 100 periods on a raw queue popped in
+/// time order; each run may cancel another series and start it afresh at a
+/// random phase. With kLanes the series re-arm in their slots (and so on a
+/// lane); without, each run re-schedules itself as a one-shot as its last
+/// act, which always goes through the heap. Returns pool_slots() and the
+/// run log's hash.
+template <bool kLanes>
+std::pair<std::size_t, std::uint64_t> run_series_churn() {
+  constexpr std::size_t kSeries = 10000;
+  constexpr double kPeriod = 10.0;
+  struct Script {
+    EventQueue q;
+    Rng rng{99};
+    std::vector<EventId> ids = std::vector<EventId>(kSeries);
+    double now = 0.0;
+    std::uint64_t hash = 1469598103934665603ull;
+
+    void start(std::size_t i, double t) {
+      ids[i] = kLanes ? q.schedule(t, [this, i] { fire(i); }, kPeriod)
+                      : q.schedule(t, [this, i] { fire(i); });
+    }
+    void fire(std::size_t i) {
+      hash = (hash ^ i) * 1099511628211ull;
+      if (rng.chance(0.05)) {
+        const std::size_t j = rng.below(kSeries);
+        if (j != i) {
+          EXPECT_TRUE(q.cancel(ids[j]));
+          start(j, now + rng.uniform01() * kPeriod);
+        }
+      }
+      if (!kLanes) ids[i] = q.schedule(now + kPeriod, [this, i] { fire(i); });
+    }
+  };
+  Script s;
+  for (std::size_t i = 0; i < kSeries; ++i) s.start(i, s.rng.uniform01() * kPeriod);
+  while (s.q.next_time() <= 100 * kPeriod) {
+    auto ev = s.q.pop();
+    s.now = ev.time;
+    ev.callback();
+  }
+  EXPECT_EQ(s.q.size(), kSeries);
+  if constexpr (kLanes) {
+    EXPECT_GT(s.q.lane_entries(), kSeries / 2);
+  }
+  return {s.q.pool_slots(), s.hash};
+}
+
+// Lane entries park their cancelled slots no longer than heap entries do:
+// the pool needs no more slots than the same runs through the heap alone.
+TEST(EventLanes, PoolDoesNotOutgrowHeapOnlyUnderSeriesChurn) {
+  const auto [lane_slots, lane_hash] = run_series_churn<true>();
+  const auto [heap_slots, heap_hash] = run_series_churn<false>();
+  EXPECT_EQ(lane_hash, heap_hash);  // the same runs, in the same order
+  EXPECT_LE(lane_slots, heap_slots);
 }
 
 /// The every() the simulator had before periodic events lived in their

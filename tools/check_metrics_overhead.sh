@@ -2,13 +2,14 @@
 # E20 metrics-plane overhead guard.
 #
 # Runs the BM_MetricsOverhead section of kernel_throughput at 100k sensors in
-# all three observability states (0 = registry off, 1 = registry on,
-# 2 = registry + flight recorder), computes ticks-per-second from the
-# repetition medians, and fails if either enabled state costs more than the
-# tolerance below the disabled state. All three modes execute the identical
-# event stream in the same process, so their ratio isolates the
-# instrumentation cost from the machine, with no committed baseline needed:
-# mode 0 IS the baseline, measured in the same run.
+# all three observability states (0 = the always-on counters only,
+# 1 = plus histograms and gauges, 2 = plus the flight recorder), computes
+# ticks-per-second from the repetition medians, and fails if either opt-in
+# state costs more than the tolerance below mode 0. All three modes execute
+# the identical event stream in the same process, so their ratio isolates the
+# opt-in instrumentation cost from the machine, with no committed baseline
+# needed: mode 0 IS the baseline, measured in the same run. (The printed
+# labels "off" and "registry" name modes 0 and 1.)
 #
 # Usage: check_metrics_overhead.sh [--bench PATH] [--out CSV] [--tolerance PCT]
 set -euo pipefail
