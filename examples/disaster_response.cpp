@@ -3,9 +3,9 @@
 // a cluster of sensors at once, on top of background wear-out failures.
 //
 // A burst of correlated failures hits a hotspot at t=2000 s. Robots carry
-// finite spares and restock at a depot at the field edge. The example
-// tracks sensing coverage over time, showing the dip and the robots healing
-// it back.
+// unlimited spares (the paper's model; SimulationConfig::robot_spares and
+// robot_depot add restocking). The example tracks sensing coverage over
+// time, showing the dip and the robots healing it back.
 //
 //   ./build/examples/disaster_response [robots] [seed]
 

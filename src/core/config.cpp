@@ -43,12 +43,6 @@ void SimulationConfig::validate() const {
   }
   if (dynamic_fringe < 0.0) throw std::invalid_argument("config: dynamic_fringe >= 0");
   if (field.sensor_tx_range <= 0.0) throw std::invalid_argument("config: sensor_tx_range > 0");
-  if (field.robot_stale_window < 0.0) {
-    throw std::invalid_argument("config: robot_stale_window >= 0");
-  }
-  if (field.failure_rereport_period < 0.0) {
-    throw std::invalid_argument("config: failure_rereport_period >= 0");
-  }
   field.lifetime.validate();
   robot_faults.validate();
   for (const auto& crash : robot_faults.crashes) {

@@ -1,8 +1,6 @@
 #include "core/coordination.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "geometry/voronoi.hpp"
 #include "obs/metrics_registry.hpp"
@@ -95,8 +93,10 @@ void CoordinationAlgorithm::broadcast_location_update(robot::RobotNode& robot, b
 }
 
 geometry::Vec2 CoordinationAlgorithm::idle_home(const robot::RobotNode& robot) const {
-  // The flat mirror IS the site list.
-  const geometry::VoronoiDiagram voronoi(robot_pos_, config().field_area());
+  std::vector<geometry::Vec2> sites;
+  sites.reserve(robot_count());
+  for (const auto& r : *ctx_.robots) sites.push_back(r->position());
+  const geometry::VoronoiDiagram voronoi(sites, config().field_area());
   const auto& cell = voronoi.cell(robot_index(robot.id()));
   return cell.empty() ? robot.position() : cell.centroid();
 }
@@ -135,24 +135,6 @@ void CoordinationAlgorithm::on_robot_repaired(robot::RobotNode& robot) {
     robot.start_heartbeat(config().robot_faults.heartbeat_period);
   }
   on_robot_rejoin(index);
-}
-
-void CoordinationAlgorithm::on_robot_moved(robot::RobotNode& robot) {
-  const std::size_t index = robot_index(robot.id());
-  robot_pos_[index] = robot.position();
-  if (robot_grid_) {
-    robot_grid_->move(static_cast<std::uint32_t>(index), robot.position());
-  }
-}
-
-void CoordinationAlgorithm::ensure_robot_grid() {
-  if (robot_grid_) return;
-  // One bucket per robot's average responsibility area: nearest() then
-  // settles within a ring or two at any fleet size.
-  robot_grid_.emplace(config().field_area(), std::sqrt(config().area_per_robot));
-  for (std::size_t i = 0; i < robot_count(); ++i) {
-    robot_grid_->insert(static_cast<std::uint32_t>(i), robot_at(i).position());
-  }
 }
 
 void CoordinationAlgorithm::start_fault_tolerance() {
@@ -195,22 +177,24 @@ double CoordinationAlgorithm::effective_lease_window(std::size_t index) const {
 
 robot::RobotNode* CoordinationAlgorithm::closest_live_robot(geometry::Vec2 pos) {
   const obs::ScopedTimer probe(obs::Probe::kClosestLiveRobot);
-  ensure_robot_grid();
-  // nearest_euclid compares fl(sqrt(d2)) with ties to the lowest index —
-  // an ascending scan with strict < over geometry::distance(), even at
-  // ULP-coincident distances.
-  const auto best = robot_grid_->nearest_euclid(pos, [this](std::uint32_t i) {
-    return !(ft_active_ && presumed_dead_[i]);
+  // The mobile grid holds every robot, dead ones too, where it stands.
+  // nearest_euclid compares fl(sqrt(d2)) with ties to the lowest id, hence
+  // the lowest index — an ascending scan with strict < over
+  // geometry::distance(), even at ULP-coincident distances.
+  const auto best = ctx_.medium->mobile_grid().nearest_euclid(pos, [this](NodeId id) {
+    const std::size_t i = robot_index(id);
+    return i < robot_count() && !presumed_dead(i);
   });
-  return best ? &robot_at(*best) : nullptr;
+  return best ? &robot_at(robot_index(*best)) : nullptr;
 }
 
 std::optional<std::size_t> CoordinationAlgorithm::nearest_robot_index(
     geometry::Vec2 pos) {
-  ensure_robot_grid();
-  const auto best = robot_grid_->nearest(pos);  // d2 key, ties to lowest index
+  // d2 key, ties to the lowest id, hence the lowest index.
+  const auto best = ctx_.medium->mobile_grid().nearest(
+      pos, [this](NodeId id) { return robot_index(id) < robot_count(); });
   if (!best) return std::nullopt;
-  return static_cast<std::size_t>(*best);
+  return robot_index(*best);
 }
 
 void CoordinationAlgorithm::supervise() {

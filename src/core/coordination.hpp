@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "spatial/uniform_grid.hpp"
 #include "metrics/failure_log.hpp"
 #include "net/medium.hpp"
 #include "robot/robot.hpp"
@@ -49,14 +48,7 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
  public:
   /// Late-binds the runtime context (nodes are constructed after the policy,
   /// which the SensorField constructor needs).
-  virtual void bind(const SystemContext& ctx) {
-    ctx_ = ctx;
-    // Seed the flat fleet-position mirror (kept in sync by on_robot_moved).
-    robot_pos_.resize(robot_count());
-    for (std::size_t i = 0; i < robot_count(); ++i) {
-      robot_pos_[i] = robot_at(i).position();
-    }
-  }
+  virtual void bind(const SystemContext& ctx) { ctx_ = ctx; }
 
   /// Paper §2, stage (a): set up roles, manager knowledge, sensors' myrobot
   /// relationships. Runs at t=0, before SensorField::start(). Initialization
@@ -80,10 +72,6 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// belief, grants a fresh lease, restarts the heartbeat, then runs the
   /// algorithm-specific on_robot_rejoin path.
   void on_robot_repaired(robot::RobotNode& robot) override;
-
-  /// RobotPolicy: the robot's position changed — apply the incremental move
-  /// to the fleet's spatial index (no-op until the index is first needed).
-  void on_robot_moved(robot::RobotNode& robot) override;
 
   /// Arms the fault-tolerance machinery (no-op unless the fault model is
   /// enabled): starts every robot's liveness heartbeat, seeds the lease
@@ -122,7 +110,9 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   }
   [[nodiscard]] std::size_t robot_count() const noexcept { return ctx_.robots->size(); }
 
-  /// Index of a robot from its node id; robots are densely numbered.
+  /// Index of a robot from its node id; robots are densely numbered, so
+  /// ids ascend with the index. Wraps to >= robot_count() for any id that
+  /// names no robot.
   [[nodiscard]] std::size_t robot_index(net::NodeId id) const noexcept {
     return id - config().robot_base_id();
   }
@@ -181,12 +171,13 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// Closest presumed-live robot to `pos`, or nullptr when the whole fleet
   /// is presumed dead. Uses leases, not ground truth: a dead-but-unexpired
   /// robot can be picked — its lease will expire and trigger recovery again.
+  /// Answered from the medium's mobile grid.
   [[nodiscard]] robot::RobotNode* closest_live_robot(geometry::Vec2 pos);
 
   /// Fleet index of the robot nearest `pos` under the squared-distance
   /// comparator (ties to the lowest index), ignoring liveness — the dynamic
-  /// init sweep's assignment rule. Grid-backed; nullopt only for an empty
-  /// fleet.
+  /// init sweep's assignment rule. Answered from the medium's mobile grid;
+  /// nullopt only for an empty fleet.
   [[nodiscard]] std::optional<std::size_t> nearest_robot_index(geometry::Vec2 pos);
 
   /// Periodic lease sweep: expires silent robots and fires
@@ -216,13 +207,6 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   FaultStats fault_stats_;
 
  private:
-  /// Builds the fleet index on first use: one bucket
-  /// per robot's average responsibility area over the field rectangle,
-  /// seeded with the fleet's current positions and kept consistent by
-  /// on_robot_moved. Lazy so runs that never ask a proximity question
-  /// (centralized without faults) pay nothing.
-  void ensure_robot_grid();
-
   SystemContext ctx_;
   bool ft_active_ = false;
   std::vector<sim::SimTime> lease_;       // per robot index: last refresh time
@@ -233,11 +217,6 @@ class CoordinationAlgorithm : public wsn::SensorPolicy, public robot::RobotPolic
   /// possible lease is inside the smallest possible window supervise() can
   /// expire nobody and skips its scan (batched sweep).
   sim::SimTime lease_floor_ = 0.0;
-  std::optional<spatial::UniformGrid2D<std::uint32_t>> robot_grid_;  // fleet index -> pos
-  /// Flat struct-of-arrays mirror of fleet positions (index == fleet index),
-  /// synced by on_robot_moved: the Voronoi idle-home site list, read without
-  /// dereferencing per-robot objects.
-  std::vector<geometry::Vec2> robot_pos_;
   /// Exact report copies already processed, keyed (originator, seq). Reports
   /// are rare (one per sensor failure plus retries), so the set stays small.
   std::set<std::pair<net::NodeId, std::uint32_t>> seen_reports_;

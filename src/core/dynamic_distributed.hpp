@@ -28,9 +28,9 @@ class DynamicDistributedAlgorithm final : public CoordinationAlgorithm {
 
  protected:
   /// Fault tolerance: sensors age the dead robot out of their knowledge on
-  /// their own (robot_stale_window); this hook refloods the nearest
-  /// surviving robot's location so the orphaned region re-learns a live
-  /// manager quickly.
+  /// their own (SensorField::robot_lease_window); this hook refloods the
+  /// nearest surviving robot's location so the orphaned region re-learns a
+  /// live manager quickly.
   void on_robot_presumed_dead(std::size_t index) override;
 
   /// Repair/return: the reborn robot refloods its own location. Sensors it

@@ -13,24 +13,16 @@ Simulation::Simulation(const SimulationConfig& config) : config_(config) {
   config_.validate();
   sim::Rng master(config_.seed);
 
-  // Robot fault tolerance: unless overridden, sensors age robot knowledge
-  // and guardians re-report unrepaired failures on the same window the lease
-  // machinery uses — sensor-side and manager-side beliefs expire together.
-  if (config_.robot_faults.enabled()) {
-    if (config_.field.robot_stale_window <= 0.0) {
-      config_.field.robot_stale_window = config_.robot_faults.lease_window();
-    }
-    if (config_.field.failure_rereport_period <= 0.0) {
-      config_.field.failure_rereport_period = config_.robot_faults.lease_window();
-    }
-  }
-
   medium_ = std::make_unique<net::Medium>(sim_, master.fork("medium"), config_.radio,
                                           config_.field_area(),
                                           config_.field.sensor_tx_range);
   algo_ = make_algorithm(config_);
+  // Robot fault tolerance: sensors age robot knowledge and guardians
+  // re-report unrepaired failures on the window the lease machinery uses.
+  const double robot_lease_window =
+      config_.robot_faults.enabled() ? config_.robot_faults.lease_window() : 0.0;
   field_ = std::make_unique<wsn::SensorField>(sim_, *medium_, *algo_, log_, config_.field,
-                                              master.fork("field"));
+                                              master.fork("field"), robot_lease_window);
 
   auto deploy_rng = master.fork("sensor-deploy");
   field_->deploy(wsn::uniform_deployment(deploy_rng, config_.field_area(),

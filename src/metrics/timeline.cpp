@@ -55,19 +55,6 @@ double TimeSeries::time_weighted_mean(sim::SimTime t0, sim::SimTime t1) const {
   return area / (t1 - t0);
 }
 
-void TimeSeries::drop_before(sim::SimTime t) {
-  if (points_.empty()) return;
-  // First sample strictly after t; the one before it is in force at t and
-  // must survive to keep step semantics over [t, inf).
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](sim::SimTime lhs, const auto& p) { return lhs < p.first; });
-  if (it == points_.begin()) return;
-  --it;  // the sample in force at t
-  dropped_ += static_cast<std::size_t>(it - points_.begin());
-  points_.erase(points_.begin(), it);
-}
-
 void TimeSeries::write_csv(std::ostream& out, std::string_view name) const {
   out << "t," << name << '\n';
   for (const auto& [t, v] : points_) out << t << ',' << v << '\n';

@@ -37,21 +37,11 @@ class TimeSeries {
   /// Requires t0 < t1 and samples covering t0.
   [[nodiscard]] double time_weighted_mean(sim::SimTime t0, sim::SimTime t1) const;
 
-  /// Retention window for long-running series (service mode): drops samples
-  /// that stopped being in force before `t`. The sample in force at `t`
-  /// survives, so value_at()/time_weighted_mean() stay valid for every
-  /// instant >= t; only queries into the dropped past become invalid.
-  void drop_before(sim::SimTime t);
-
-  /// Samples removed by drop_before() since construction.
-  [[nodiscard]] std::size_t dropped() const noexcept { return dropped_; }
-
   /// Writes "t,<name>" rows (with header) as CSV.
   void write_csv(std::ostream& out, std::string_view name) const;
 
  private:
   std::vector<std::pair<sim::SimTime, double>> points_;
-  std::size_t dropped_ = 0;
 };
 
 /// Samples `probe` every `period` seconds into `series` (first sample at

@@ -129,6 +129,16 @@ class Medium {
   /// std::invalid_argument for a mobile node.
   [[nodiscard]] std::span<const NodeId> static_receivers(NodeId id) const;
 
+  /// The grid of static transceivers (sensors, the manager) and the grid of
+  /// mobile ones (robots), always at their current positions, dead nodes
+  /// included: the simulation's one spatial index of nodes.
+  [[nodiscard]] const spatial::UniformGrid2D<NodeId>& static_grid() const noexcept {
+    return static_index_;
+  }
+  [[nodiscard]] const spatial::UniformGrid2D<NodeId>& mobile_grid() const noexcept {
+    return mobile_index_;
+  }
+
   /// One-hop broadcast. Counts one transmission; draws loss and chaos per
   /// receiver now, and delivers to every surviving receiver still alive
   /// after serialization + backoff delay, in ascending id order.

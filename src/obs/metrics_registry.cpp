@@ -12,8 +12,6 @@ std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(Counter::kCount)
 std::array<std::atomic<std::uint64_t>,
            Metrics::kHistStride * static_cast<std::size_t>(Hist::kCount)>
     Metrics::hists_{};
-std::array<std::atomic<double>, static_cast<std::size_t>(Gauge::kCount)>
-    Metrics::gauges_{};
 
 std::mutex Metrics::mu_;
 std::vector<const CounterBlock*> Metrics::live_;
@@ -42,6 +40,18 @@ void CounterBlock::add_to(MetricsSnapshot& s) const noexcept {
   for (std::size_t i = 0; i < kNetCategories; ++i) {
     s.net_tx[i] += load(tx_[i]);
     s.net_rx[i] += load(rx_[i]);
+  }
+}
+
+void CounterBlock::set(Gauge g, double v) noexcept {
+  if (Metrics::enabled()) gauges_[at(g)].store(v, std::memory_order_relaxed);
+}
+
+void CounterBlock::add_gauges_to(MetricsSnapshot& s) const noexcept {
+  for (std::size_t i = 0; i < gauges_.size(); ++i) {
+    const double v = gauges_[i].load(std::memory_order_relaxed);
+    double& out = s.gauges[i];
+    out = static_cast<Gauge>(i) == Gauge::kSimClock ? std::max(out, v) : out + v;
   }
 }
 
@@ -157,7 +167,6 @@ void Metrics::reset() noexcept {
   }
   for (auto& c : process_) c.store(0, std::memory_order_relaxed);
   for (auto& c : hists_) c.store(0, std::memory_order_relaxed);
-  for (auto& g : gauges_) g.store(0.0, std::memory_order_relaxed);
 }
 
 std::uint64_t Metrics::counter_value(Counter c) {
@@ -169,13 +178,13 @@ MetricsSnapshot Metrics::snapshot() {
   {
     const std::lock_guard lock(mu_);
     out = retired_;
-    for (const CounterBlock* b : live_) b->add_to(out);
+    for (const CounterBlock* b : live_) {
+      b->add_to(out);
+      b->add_gauges_to(out);
+    }
   }
   for (std::size_t i = 0; i < out.counters.size(); ++i) {
     out.counters[i] += process_[i].load(std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < out.gauges.size(); ++i) {
-    out.gauges[i] = gauges_[i].load(std::memory_order_relaxed);
   }
   for (std::size_t i = 0; i < out.hists.size(); ++i) {
     const auto* cells = &hists_[kHistStride * i];

@@ -54,7 +54,9 @@ enum class Counter : std::uint16_t {
   kCount,
 };
 
-/// Last-write-wins gauges (plain relaxed store; opt-in like histograms).
+/// Per-simulation gauges, held in each CounterBlock and set by its one
+/// writer; opt-in like histograms. A scrape sums the live blocks' values,
+/// except kSimClock, which takes their maximum.
 enum class Gauge : std::uint16_t {
   kAliveSensors,      // set at telemetry tick
   kLiveRobots,        // set at telemetry tick
@@ -110,12 +112,14 @@ struct MetricsSnapshot {
 };
 
 /// One simulation's counters: every obs::Counter plus transmissions and
-/// receptions per message category. sim::Simulator owns one, and every
-/// layer counts into it through the simulator it holds. Single writer (the
-/// thread running the simulation): a write is a relaxed load and store, as
-/// cheap as a plain increment, and a scrape on another thread loads relaxed.
-/// A block joins the Metrics registry on construction and folds into its
-/// retired total on destruction, so scraped counters never decrease.
+/// receptions per message category, and its gauges. sim::Simulator owns one,
+/// and every layer counts into it through the simulator it holds. Single
+/// writer (the thread running the simulation): a write is a relaxed load and
+/// store, as cheap as a plain increment, and a scrape on another thread
+/// loads relaxed. A block joins the Metrics registry on construction and
+/// folds its counters into the retired total on destruction, so scraped
+/// counters never decrease. Its gauges drop out with it: they are not
+/// monotone, so they never fold into the retired total.
 class CounterBlock {
  public:
   CounterBlock();
@@ -131,6 +135,8 @@ class CounterBlock {
   }
   /// One frame handed to one receiver.
   void rx(metrics::MessageCategory c) noexcept { bump(rx_[at(c)], 1); }
+  /// Sets a gauge; a no-op unless Metrics is enabled.
+  void set(Gauge g, double v) noexcept;
 
   [[nodiscard]] std::uint64_t get(Counter c) const noexcept {
     return load(counters_[at(c)]);
@@ -145,6 +151,8 @@ class CounterBlock {
 
   /// Adds every cell to the counter and net fields of `s`.
   void add_to(MetricsSnapshot& s) const noexcept;
+  /// Merges the gauges into `s`: sums them, and takes the maximum clock.
+  void add_gauges_to(MetricsSnapshot& s) const noexcept;
 
  private:
   using Cell = std::atomic<std::uint64_t>;
@@ -164,14 +172,16 @@ class CounterBlock {
   std::array<Cell, static_cast<std::size_t>(Counter::kCount)> counters_{};
   std::array<Cell, kNetCategories> tx_{};
   std::array<Cell, kNetCategories> rx_{};
+  std::array<std::atomic<double>, static_cast<std::size_t>(Gauge::kCount)> gauges_{};
 };
 
-/// The process's view of every counter block, plus opt-in histograms and
-/// gauges. A scrape sums the live blocks, the retired total of destroyed
-/// ones and a process block for the counts no simulation owns (flight-
-/// recorder dumps, JSONL drops). Histograms and gauges stay behind enable():
-/// while disabled (the default) each probe costs one relaxed load. Nothing
-/// here touches the virtual clock, RNG streams or event ordering.
+/// The process's view of every counter block, plus opt-in histograms. A
+/// scrape sums the live blocks, the retired total of destroyed ones and a
+/// process block for the counts no simulation owns (flight-recorder dumps,
+/// JSONL drops); gauges come from the live blocks alone. Histograms and
+/// gauges stay behind enable(): while disabled (the default) each probe
+/// costs one relaxed load. Nothing here touches the virtual clock, RNG
+/// streams or event ordering.
 class Metrics {
  public:
   /// Switches histograms and gauges on or off; counters ignore it.
@@ -187,15 +197,11 @@ class Metrics {
   static void inc(Counter c, std::uint64_t n = 1) noexcept {
     process_[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
   }
-  static void set_gauge(Gauge g, double v) noexcept {
-    if (!enabled()) return;
-    gauges_[static_cast<std::size_t>(g)].store(v, std::memory_order_relaxed);
-  }
   static void observe(Hist h, double v) noexcept;
 
-  /// Zeroes the retired total, the process block, histograms and gauges
-  /// (tests, start of a measured run). Live blocks belong to their
-  /// simulations and keep their counts.
+  /// Zeroes the retired total, the process block and histograms (tests,
+  /// start of a measured run). Live blocks belong to their simulations and
+  /// keep their counts and gauges.
   static void reset() noexcept;
 
   [[nodiscard]] static MetricsSnapshot snapshot();
@@ -222,7 +228,6 @@ class Metrics {
   static std::array<std::atomic<std::uint64_t>,
                     kHistStride * static_cast<std::size_t>(Hist::kCount)>
       hists_;
-  static std::array<std::atomic<double>, static_cast<std::size_t>(Gauge::kCount)> gauges_;
 };
 
 }  // namespace sensrep::obs

@@ -99,7 +99,6 @@ void RobotNode::repair() {
     pos_ = *config_.depot;
     spares_ = config_.spares;  // the repair happened at the depot: restocked
     medium_->set_position(id_, pos_);
-    policy_->on_robot_moved(*this);
   }
   medium_->set_alive(id_, true);
   refresh_neighbor_table();
@@ -127,7 +126,6 @@ void RobotNode::teleport(Vec2 pos) {
   if (busy()) throw std::logic_error("RobotNode::teleport: robot is busy");
   pos_ = pos;
   medium_->set_position(id_, pos_);
-  policy_->on_robot_moved(*this);
   refresh_neighbor_table();
 }
 
@@ -187,7 +185,6 @@ void RobotNode::step_movement() {
   move_event_ = sim_->in(step / config_.speed, [this, next, step] {
     pos_ = next;
     medium_->set_position(id_, pos_);
-    policy_->on_robot_moved(*this);
     odometer_ += step;
     task_travel_ += step;
     refresh_neighbor_table();

@@ -54,12 +54,6 @@ class RobotPolicy {
   /// the heartbeat and run the algorithm's rejoin path (re-admission,
   /// ownership return, reflood). Default: nothing.
   virtual void on_robot_repaired(RobotNode& /*robot*/) {}
-
-  /// The robot's position just changed (movement leg, teleport, or a depot
-  /// resurrection). Fires before any other hook for the same event, so
-  /// policies keeping a spatial index of the fleet can apply the incremental
-  /// move first and answer queries from consistent state. Default: nothing.
-  virtual void on_robot_moved(RobotNode& /*robot*/) {}
 };
 
 /// A mobile maintainer: picks, carries, and unloads sensor units

@@ -37,9 +37,9 @@ struct DaemonOptions {
   /// Sampling runs on the virtual clock so the stream is deterministic.
   double telemetry_period = 0.0;
 
-  /// Sliding retention window in sim seconds for telemetry series and
-  /// closed trace spans; 0 keeps everything (fine for short sessions, not
-  /// for soaks — see docs/SERVICE.md §5).
+  /// Sliding retention window in sim seconds for closed trace spans; 0
+  /// keeps everything (fine for short sessions, not for soaks with
+  /// trace_stages — see docs/SERVICE.md §5).
   double retention_window = 0.0;
 
   /// Attach an obs::Tracer and report per-stage p50/p90/p99 in telemetry.

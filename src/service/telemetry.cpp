@@ -169,29 +169,23 @@ TelemetrySample TelemetryExporter::sample_now() const {
 
 void TelemetryExporter::tick() {
   const TelemetrySample s = sample_now();
-  availability_.add(s.t, s.availability);
-  pending_.add(s.t, static_cast<double>(s.pending_tasks));
   last_t_ = s.t;
   last_repaired_ = s.repaired;
   ++samples_;
   // Registry state (not an emission): gauges track the latest sample even
   // while muted, so a post-restore scrape shows live values immediately.
-  sim_.simulator().counters().inc(obs::Counter::kTelemetrySamples);
+  obs::CounterBlock& block = sim_.simulator().counters();
+  block.inc(obs::Counter::kTelemetrySamples);
   const auto deployed = static_cast<double>(sim_.config().sensor_count());
-  obs::Metrics::set_gauge(obs::Gauge::kAliveSensors,
-                          deployed - static_cast<double>(s.open_failures));
-  obs::Metrics::set_gauge(obs::Gauge::kLiveRobots,
-                          static_cast<double>(s.live_robots));
-  obs::Metrics::set_gauge(obs::Gauge::kOpenFailures,
-                          static_cast<double>(s.open_failures));
-  obs::Metrics::set_gauge(obs::Gauge::kPendingEvents,
-                          static_cast<double>(sim_.simulator().pending()));
-  obs::Metrics::set_gauge(obs::Gauge::kSimClock, s.t);
+  block.set(obs::Gauge::kAliveSensors, deployed - static_cast<double>(s.open_failures));
+  block.set(obs::Gauge::kLiveRobots, static_cast<double>(s.live_robots));
+  block.set(obs::Gauge::kOpenFailures, static_cast<double>(s.open_failures));
+  block.set(obs::Gauge::kPendingEvents, static_cast<double>(sim_.simulator().pending()));
+  block.set(obs::Gauge::kSimClock, s.t);
   if (options_.retention_window > 0.0) {
-    const double cutoff = s.t - options_.retention_window;
-    availability_.drop_before(cutoff);
-    pending_.drop_before(cutoff);
-    if (obs::Tracer* tracer = sim_.field().events().tracer()) tracer->compact(cutoff);
+    if (obs::Tracer* tracer = sim_.field().events().tracer()) {
+      tracer->compact(s.t - options_.retention_window);
+    }
   }
   if (muted_) return;
   if (line_sink_) line_sink_(s.protocol_line());

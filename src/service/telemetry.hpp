@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/simulation.hpp"
-#include "metrics/timeline.hpp"
 #include "obs/exporters.hpp"
 #include "obs/tracer.hpp"
 
@@ -108,12 +107,11 @@ class JsonlSink {
 
 /// Periodic telemetry on the virtual clock. Each tick samples the
 /// simulation's digest (plus per-stage percentiles when a tracer is
-/// attached), appends to the availability/pending time series, applies the
-/// retention window (TimeSeries::drop_before + Tracer::compact) so a soak
-/// holds bounded memory, and emits the sample to the line sink / JSONL
-/// sink. Muting suppresses emission only — sampling and window state still
-/// advance, which is how a restore replay reconverges on the original
-/// exporter state without re-printing history.
+/// attached), sets the simulation's gauges, applies the retention window
+/// (Tracer::compact) so a soak holds bounded memory, and emits the sample to
+/// the line sink / JSONL sink. Muting suppresses emission only — sampling
+/// and window state still advance, which is how a restore replay
+/// reconverges on the original exporter state without re-printing history.
 class TelemetryExporter {
  public:
   struct Options {
@@ -143,12 +141,6 @@ class TelemetryExporter {
   [[nodiscard]] TelemetrySample sample_now() const;
 
   [[nodiscard]] std::uint64_t samples_taken() const noexcept { return samples_; }
-  [[nodiscard]] const metrics::TimeSeries& availability_series() const noexcept {
-    return availability_;
-  }
-  [[nodiscard]] const metrics::TimeSeries& pending_series() const noexcept {
-    return pending_;
-  }
 
  private:
   void tick();
@@ -161,8 +153,6 @@ class TelemetryExporter {
   bool muted_ = false;
   bool started_ = false;
 
-  metrics::TimeSeries availability_;
-  metrics::TimeSeries pending_;
   double last_t_ = 0.0;
   std::uint64_t last_repaired_ = 0;
   std::uint64_t samples_ = 0;

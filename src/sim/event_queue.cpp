@@ -201,8 +201,9 @@ std::uint32_t EventQueue::acquire_slot() {
     const auto base = static_cast<std::uint32_t>(pool_slots());
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
     // Chunk growth is rare (amortized), so the occupancy gauge rides on it.
-    obs::Metrics::set_gauge(obs::Gauge::kEventPoolSlots,
-                            static_cast<double>(pool_slots()));
+    if (counters_ != nullptr) {
+      counters_->set(obs::Gauge::kEventPoolSlots, static_cast<double>(pool_slots()));
+    }
     // Thread the fresh chunk onto the free list in increasing-index order so
     // slot assignment stays deterministic.
     for (std::uint32_t i = kChunkSlots; i-- > 0;) {

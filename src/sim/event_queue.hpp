@@ -43,10 +43,10 @@ concept NamesPrefetchTarget = requires(const Fn& f) {
 /// equal timestamps pop in schedule order (monotone sequence number). This
 /// makes simulation runs bit-reproducible for a fixed seed.
 ///
-/// Storage (the default, pooled mode) is allocation-free on the hot path:
-/// callbacks live in slab-allocated slots recycled through a free list, and
-/// a callable whose size fits kInlineBytes — which covers every capture the
-/// simulation schedules — is constructed in place, never on the heap.
+/// Storage is allocation-free on the hot path: callbacks live in
+/// slab-allocated slots recycled through a free list, and every callable is
+/// constructed in place — one that does not fit kInlineBytes is a compile
+/// error, never a heap allocation.
 /// EventIds carry (slot index, generation); a recycled slot bumps its
 /// generation so stale ids can never cancel or observe a later tenant.
 ///
@@ -83,8 +83,8 @@ class EventQueue {
   /// no scheduled closure carries one: the largest captures are a few
   /// pointers and ids, or a std::function (32 bytes) plus two pointers
   /// (sampled timelines). 48 bytes holds all of them and keeps a slot (with
-  /// its bookkeeping) at 96 bytes. Bigger callables fall back to one boxed
-  /// heap allocation, counted by boxed_stores().
+  /// its bookkeeping) at 96 bytes. A bigger callable does not compile:
+  /// capture a pointer to its state instead.
   static constexpr std::size_t kInlineBytes = 48;
 
   /// Schedules and cancels are counted into `counters` (the owning
@@ -201,10 +201,6 @@ class EventQueue {
     return chunks_.size() * kChunkSlots;
   }
 
-  /// Callables ever stored boxed on the heap because they outgrew
-  /// kInlineBytes. The simulation's own captures all fit, so this stays 0.
-  [[nodiscard]] std::uint64_t boxed_stores() const noexcept { return boxed_stores_; }
-
  private:
   /// An in-flight (time, key) pair being pushed or sifted. The resident heap
   /// itself is stored structure-of-arrays (heap_times_ / heap_keys_): the
@@ -261,9 +257,8 @@ class EventQueue {
   struct Slot;
 
   /// What a slot's type-erased callable can do, one static table per
-  /// callable type. `target` is null unless the callable is stored inline
-  /// and names, through a prefetch_target() member, the object its run will
-  /// touch.
+  /// callable type. `target` is null unless the callable names, through a
+  /// prefetch_target() member, the object its run will touch.
   struct Ops {
     using Target = const void* (*)(const Slot&) noexcept;
     void (*invoke)(Slot&);
@@ -300,16 +295,6 @@ class EventQueue {
                               NamesPrefetchTarget<Fn> ? &target : nullptr};
   };
 
-  template <typename Fn>
-  struct BoxedOps {
-    static Fn* ptr(Slot& s) noexcept {
-      return *std::launder(reinterpret_cast<Fn**>(s.buf));
-    }
-    static void invoke(Slot& s) { (*ptr(s))(); }
-    static void destroy(Slot& s) { delete ptr(s); }
-    static constexpr Ops kOps{&invoke, &destroy, nullptr};
-  };
-
   [[nodiscard]] Slot& slot_at(std::uint32_t index) noexcept {
     return chunks_[index / kChunkSlots][index % kChunkSlots];
   }
@@ -322,20 +307,13 @@ class EventQueue {
   template <typename F>
   std::uint64_t store(F&& cb, std::uint64_t seq, Duration period) {
     using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t),
+                  "EventQueue callback must fit a slot's inline buffer");
     const std::uint32_t index = acquire_slot();
     Slot& s = slot_at(index);
-    constexpr bool fits_inline =
-        sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t);
     try {
-      if constexpr (fits_inline) {
-        ::new (static_cast<void*>(s.buf)) Fn(std::forward<F>(cb));
-        s.ops = &InlineOps<Fn>::kOps;
-      } else {
-        Fn* boxed = new Fn(std::forward<F>(cb));
-        ::new (static_cast<void*>(s.buf)) Fn*(boxed);
-        s.ops = &BoxedOps<Fn>::kOps;
-        ++boxed_stores_;
-      }
+      ::new (static_cast<void*>(s.buf)) Fn(std::forward<F>(cb));
+      s.ops = &InlineOps<Fn>::kOps;
     } catch (...) {
       recycle_slot(index);  // nothing constructed; just rejoin the free list
       throw;
@@ -434,7 +412,6 @@ class EventQueue {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_count_ = 0;
-  std::uint64_t boxed_stores_ = 0;
   obs::CounterBlock* counters_;
 };
 

@@ -19,8 +19,8 @@ namespace sensrep::sim {
 /// tiny events, and determinism is worth more here than parallelism.
 ///
 /// at/in/every accept any callable and forward it to the queue unboxed, so
-/// captures that fit EventQueue::kInlineBytes are stored in pooled slots
-/// without touching the heap.
+/// captures are stored in pooled slots without touching the heap; one that
+/// does not fit EventQueue::kInlineBytes does not compile.
 class Simulator {
  public:
   using Callback = EventQueue::Callback;
@@ -115,9 +115,6 @@ class Simulator {
   /// simulator it already holds.
   [[nodiscard]] obs::CounterBlock& counters() noexcept { return counters_; }
   [[nodiscard]] const obs::CounterBlock& counters() const noexcept { return counters_; }
-
-  /// Scheduled callables too big for an inline queue slot (diagnostics).
-  [[nodiscard]] std::uint64_t boxed_stores() const noexcept { return queue_.boxed_stores(); }
 
  private:
   /// The one run loop: executes up to `limit` events at or before `horizon`,

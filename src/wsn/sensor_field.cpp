@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/metrics_registry.hpp"
+#include "spatial/uniform_grid.hpp"
 #include "trace/log.hpp"
 
 namespace sensrep::wsn {
@@ -17,12 +18,14 @@ using net::PacketType;
 
 SensorField::SensorField(sim::Simulator& simulator, net::Medium& medium,
                          SensorPolicy& policy, metrics::FailureLog& log,
-                         const FieldConfig& config, sim::Rng rng)
+                         const FieldConfig& config, sim::Rng rng,
+                         double robot_lease_window)
     : sim_(&simulator),
       medium_(&medium),
       policy_(&policy),
       log_(&log),
       config_(config),
+      robot_lease_window_(robot_lease_window),
       rng_(rng),
       events_(simulator.counters()) {
   if (config.beacon_period <= 0.0) {
@@ -46,20 +49,16 @@ void SensorField::deploy(const std::vector<Vec2>& positions) {
                     [n](const Packet& pkt, NodeId from) { n->on_packet(pkt, from); });
   }
   open_failure_.assign(slots_.size(), std::nullopt);
-  alive_soa_.assign(slots_.size(), 1);
-  last_beacon_soa_.assign(slots_.size(), 0.0);
-
-  grid_.emplace(geometry::Rect::bounding(positions), config_.sensor_tx_range);
-  for (const auto& s : slots_) grid_->insert(s->id(), s->position());
+  last_beacon_.assign(slots_.size(), 0.0);
 }
 
 std::vector<NodeId> SensorField::slots_within(Vec2 center, double range) const {
   std::vector<NodeId> out;
-  if (!grid_) return out;  // not deployed yet
   // Candidate cells are a superset of the ball; the exact sqrt-form
-  // predicate decides. Candidates arrive cell-major, hence the sort.
-  grid_->for_each_candidate(center, range, [&](NodeId id, Vec2 pos) {
-    if (geometry::distance(pos, center) <= range) out.push_back(id);
+  // predicate decides. The manager is static too, hence the sensor filter;
+  // candidates arrive cell-major, hence the sort.
+  medium_->static_grid().for_each_candidate(center, range, [&](NodeId id, Vec2 pos) {
+    if (is_sensor(id) && geometry::distance(pos, center) <= range) out.push_back(id);
   });
   std::sort(out.begin(), out.end());
   return out;
@@ -133,20 +132,16 @@ std::span<const NodeId> SensorField::static_neighbors(NodeId id) const {
 
 sim::SimTime SensorField::last_beacon(NodeId id) const {
   if (!is_sensor(id)) return sim::kNever;
-  return last_beacon_soa_[id];
+  return last_beacon_[id];
 }
 
-bool SensorField::slot_alive(NodeId id) const {
-  if (!is_sensor(id)) return false;
-  return alive_soa_[id] != 0;
-}
+bool SensorField::slot_alive(NodeId id) const { return is_sensor(id) && slots_[id]->alive(); }
 
 void SensorField::fail_slot(NodeId slot) {
   SensorNode& n = node(slot);
   if (!n.alive()) return;
   const sim::SimTime now = sim_->now();
   n.fail();
-  alive_soa_[slot] = 0;
   medium_->set_alive(slot, false);
   open_failure_[slot] = log_->open(slot, now);
   // One trace per failure, keyed by the non-zero failure id carried in
@@ -176,7 +171,6 @@ void SensorField::replace_slot(NodeId slot, NodeId robot) {
   }
   const sim::SimTime now = sim_->now();
   n.revive();
-  alive_soa_[slot] = 1;
   medium_->set_alive(slot, true);
 
   // The new unit announces itself so neighbors restore their table entries
@@ -240,9 +234,8 @@ void SensorField::note_unreported(NodeId slot) {
 }
 
 std::size_t SensorField::alive_count() const noexcept {
-  // Batched pass over the flat alive bits — one cache line covers 64 slots.
   std::size_t n = 0;
-  for (const std::uint8_t a : alive_soa_) n += a;
+  for (const auto& s : slots_) n += s->alive() ? 1 : 0;
   return n;
 }
 

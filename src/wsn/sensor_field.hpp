@@ -14,7 +14,6 @@
 #include "routing/neighbor_table.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "spatial/uniform_grid.hpp"
 #include "wsn/failure_model.hpp"
 #include "wsn/sensor_node.hpp"
 #include "wsn/sensor_policy.hpp"
@@ -47,20 +46,6 @@ struct FieldConfig {
   int report_retries = 3;
   double report_retry_timeout = 5.0;
 
-  /// Robot fault tolerance: seconds after which a sensor drops a robot it
-  /// has not heard from (stale `myrobot` aging). 0 disables aging (the
-  /// paper's robots never fail, so knowledge never expires). Simulation
-  /// wires this to the robot-fault lease window automatically when the
-  /// fault model is enabled.
-  double robot_stale_window = 0.0;
-
-  /// Robot fault tolerance: a guardian re-reports a failure it already
-  /// reported every this-many seconds until the slot is actually repaired
-  /// (0 disables). This is what re-routes repairs around dead robots: the
-  /// re-report resolves the *current* manager/owner/closest robot. Wired to
-  /// the lease window alongside robot_stale_window.
-  double failure_rereport_period = 0.0;
-
   /// Extension beyond the paper: every sensor watches *all* of its static
   /// neighbors, not just its confirmed guardees. The paper's guardian-guardee
   /// scheme assumes a guardian and its guardee rarely die together — true
@@ -78,8 +63,17 @@ struct FieldConfig {
 /// (is_sensor() relies on this).
 class SensorField {
  public:
+  /// `robot_lease_window` > 0 arms robot fault tolerance on the sensor side:
+  /// a sensor drops a robot it has not heard from for that long (stale
+  /// `myrobot` aging), and a guardian re-reports a still-unrepaired failure
+  /// that often, which routes repairs around dead robots because each
+  /// re-report resolves the current manager/owner/closest robot. Simulation
+  /// passes the robot lease window when the fault model is on, so sensor-side
+  /// and manager-side beliefs expire together; 0 (the paper's robots never
+  /// fail) disables both.
   SensorField(sim::Simulator& simulator, net::Medium& medium, SensorPolicy& policy,
-              metrics::FailureLog& log, const FieldConfig& config, sim::Rng rng);
+              metrics::FailureLog& log, const FieldConfig& config, sim::Rng rng,
+              double robot_lease_window = 0.0);
   ~SensorField();
 
   SensorField(const SensorField&) = delete;
@@ -103,7 +97,7 @@ class SensorField {
 
   /// Slot ids within `range` of `center` (closed ball under the sqrt-based
   /// `distance(slot, center) <= range` test every call site has always
-  /// used), in ascending id order. Grid-accelerated.
+  /// used), in ascending id order. Answered from the medium's static grid.
   [[nodiscard]] std::vector<net::NodeId> slots_within(geometry::Vec2 center,
                                                       double range) const;
   [[nodiscard]] SensorNode& node(net::NodeId id);
@@ -115,12 +109,11 @@ class SensorField {
   [[nodiscard]] std::span<const net::NodeId> static_neighbors(net::NodeId id) const;
 
   /// Timestamp of the node's most recent beacon; kNever for non-sensors.
-  /// Reads the flat mirror (no SensorNode dereference) — this is the
+  /// Reads a flat per-slot array (no SensorNode dereference) — this is the
   /// per-neighbor read inside every staleness check.
   [[nodiscard]] sim::SimTime last_beacon(net::NodeId id) const;
 
-  /// Whether the slot's unit is alive; false for non-sensors. Reads the flat
-  /// alive-bit mirror.
+  /// Whether the slot's unit is alive; false for non-sensors.
   [[nodiscard]] bool slot_alive(net::NodeId id) const;
 
   /// Beacon-staleness window: stale_beacon_count * beacon_period.
@@ -135,6 +128,8 @@ class SensorField {
   [[nodiscard]] SensorPolicy& policy() noexcept { return *policy_; }
   [[nodiscard]] metrics::FailureLog& failure_log() noexcept { return *log_; }
   [[nodiscard]] const FieldConfig& config() const noexcept { return config_; }
+  /// Robot fault tolerance's sensor-side window (see the constructor); 0 off.
+  [[nodiscard]] double robot_lease_window() const noexcept { return robot_lease_window_; }
 
   /// The domain-event hook the field, the robots and the algorithm emit through.
   [[nodiscard]] obs::EventHook& events() noexcept { return events_; }
@@ -183,24 +178,15 @@ class SensorField {
   SensorPolicy* policy_;
   metrics::FailureLog* log_;
   FieldConfig config_;
+  double robot_lease_window_;
   sim::Rng rng_;
   obs::EventHook events_;
 
-  /// SensorNode beacon hook: keeps the flat last-beacon mirror in sync with
-  /// the node's own stamp (called from tick() and revive()).
-  void note_beacon(net::NodeId slot, sim::SimTime when) noexcept {
-    if (slot < last_beacon_soa_.size()) last_beacon_soa_[slot] = when;
-  }
-
   std::vector<std::unique_ptr<SensorNode>> slots_;
-  /// Struct-of-arrays mirrors of per-slot hot state, indexed by slot id
-  /// (ids are dense), so beacon-staleness and liveness sweeps read
-  /// contiguous vectors instead of chasing per-node pointers.
-  std::vector<std::uint8_t> alive_soa_;
-  std::vector<sim::SimTime> last_beacon_soa_;
-  /// Sensor positions bucketed at TX-range granularity. Built once in
-  /// deploy(): slots never move, replacements keep coordinates.
-  std::optional<spatial::UniformGrid2D<net::NodeId>> grid_;
+  /// Each slot's most recent beacon time, indexed by slot id (ids are
+  /// dense), so staleness checks read one contiguous array instead of
+  /// chasing per-node pointers. SensorNode::tick() and revive() write it.
+  std::vector<sim::SimTime> last_beacon_;
   std::vector<std::optional<metrics::FailureLog::FailureId>> open_failure_;
   std::size_t unreported_ = 0;
 };

@@ -142,8 +142,7 @@ void SensorNode::fail() {
 void SensorNode::revive() {
   alive_ = true;
   ++incarnation_;
-  last_beacon_ = field_->simulator().now();  // powers on beaconing immediately
-  field_->note_beacon(id_, last_beacon_);
+  field_->last_beacon_[id_] = field_->simulator().now();  // beacons from power-on
 }
 
 bool SensorNode::neighbor_is_stale(NodeId id) const {
@@ -206,8 +205,7 @@ void SensorNode::tick() {
   } else {
     field_->medium().account(metrics::MessageCategory::kBeacon);
   }
-  last_beacon_ = field_->simulator().now();
-  field_->note_beacon(id_, last_beacon_);
+  field_->last_beacon_[id_] = field_->simulator().now();
 
   // Honest mode: staleness also evicts silent neighbors from the routing
   // table locally (analytic mode schedules this at the field level).
@@ -239,8 +237,10 @@ void SensorNode::tick() {
   // Robot fault tolerance: age out robots gone silent and re-send reports
   // for failures still unrepaired (both no-ops unless configured).
   const auto now = field_->simulator().now();
-  if (field_->config().robot_stale_window > 0.0) age_robot_knowledge(now);
-  if (field_->config().failure_rereport_period > 0.0) rereport_stale_failures(now);
+  if (field_->robot_lease_window() > 0.0) {
+    age_robot_knowledge(now);
+    rereport_stale_failures(now);
+  }
 
   // Neighborhood watch (extension; see FieldConfig::neighborhood_watch):
   // report any silent static neighbor, once per silence episode. The
@@ -261,7 +261,7 @@ void SensorNode::tick() {
 }
 
 void SensorNode::age_robot_knowledge(sim::SimTime now) {
-  const double window = field_->config().robot_stale_window;
+  const double window = field_->robot_lease_window();
   // Batched aging: robots_heard_floor_ is a lower bound on
   // every entry's heard_at, so while the *oldest possible* entry is still
   // inside the window the scan can expire nothing — skip it. heard_at only
@@ -295,7 +295,7 @@ void SensorNode::age_robot_knowledge(sim::SimTime now) {
 }
 
 void SensorNode::rereport_stale_failures(sim::SimTime now) {
-  const double period = field_->config().failure_rereport_period;
+  const double period = field_->robot_lease_window();
   std::vector<NodeId> due;
   for (auto it = reported_pending_.begin(); it != reported_pending_.end();) {
     if (!field_->open_failure(it->first)) {
@@ -312,7 +312,7 @@ void SensorNode::rereport_stale_failures(sim::SimTime now) {
 
 void SensorNode::report_guardee_failure(NodeId failed) {
   field_->record_detection(failed);
-  if (field_->config().failure_rereport_period > 0.0) {
+  if (field_->robot_lease_window() > 0.0) {
     reported_pending_[failed] = field_->simulator().now();
   }
   const auto target = field_->policy().report_target(*this);

@@ -58,7 +58,6 @@ class SensorNode {
   [[nodiscard]] geometry::Vec2 position() const noexcept { return pos_; }
   [[nodiscard]] bool alive() const noexcept { return alive_; }
   [[nodiscard]] std::uint32_t incarnation() const noexcept { return incarnation_; }
-  [[nodiscard]] sim::SimTime last_beacon() const noexcept { return last_beacon_; }
 
   [[nodiscard]] routing::NeighborTable& table() noexcept { return table_; }
   [[nodiscard]] const routing::NeighborTable& table() const noexcept { return table_; }
@@ -124,10 +123,10 @@ class SensorNode {
   friend class SensorField;
 
   void report_guardee_failure(net::NodeId failed);
-  /// Robot fault tolerance (FieldConfig::robot_stale_window): drops robots
+  /// Robot fault tolerance (SensorField::robot_lease_window): drops robots
   /// not heard from within the window and re-picks myrobot if it was one.
   void age_robot_knowledge(sim::SimTime now);
-  /// Robot fault tolerance (FieldConfig::failure_rereport_period): re-sends
+  /// Robot fault tolerance (SensorField::robot_lease_window): re-sends
   /// reports for failures that are still unrepaired.
   void rereport_stale_failures(sim::SimTime now);
   /// reliable_reports: schedules a retransmission unless acked first.
@@ -142,7 +141,6 @@ class SensorNode {
 
   bool alive_ = true;
   std::uint32_t incarnation_ = 0;
-  sim::SimTime last_beacon_ = 0.0;
 
   routing::NeighborTable table_;
   std::unique_ptr<routing::GeoRouter> router_;
@@ -172,7 +170,7 @@ class SensorNode {
     int attempts = 1;
   };
   std::unordered_map<net::NodeId, PendingReport> pending_reports_;
-  // failure_rereport_period mode: failures this node reported that are not
+  // Robot fault tolerance: failures this node reported that are not
   // yet repaired, keyed by slot -> time of the last report sent.
   std::unordered_map<net::NodeId, sim::SimTime> reported_pending_;
   // Originator-scoped sequence stamped on outgoing failure reports (receiver

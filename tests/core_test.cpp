@@ -498,6 +498,25 @@ TEST(SimulationTest, EnergyAccountingMatchesModelIdentity) {
               cfg.energy.motion_energy_j(r.total_robot_distance), 1e-6);
 }
 
+TEST(SimulationTest, RobotsRestockAtTheDepotAndKeepRepairing) {
+  auto cfg = small_config(Algorithm::kDynamicDistributed);
+  cfg.field.spontaneous_failures = true;
+  cfg.sim_duration = 8000.0;
+  cfg.robot_spares = 2;
+  auto stranded = cfg;  // the same fleet with nowhere to reload
+  cfg.robot_depot = cfg.field_area().center();
+
+  Simulation s(cfg);
+  s.run();
+  const auto r = s.result();
+  EXPECT_EQ(r.orphaned_tasks, 0u);
+  EXPECT_GT(r.repaired, cfg.robots * cfg.robot_spares);
+
+  Simulation without_depot(stranded);
+  without_depot.run();
+  EXPECT_GT(without_depot.result().orphaned_tasks, 0u);
+}
+
 TEST(ResultTest, SummaryMentionsKeyNumbers) {
   Simulation s(small_config(Algorithm::kCentralized));
   s.run_until(1.0);

@@ -44,31 +44,6 @@ namespace {
 
 // --- pool contract -----------------------------------------------------------
 
-TEST(EventPool, OversizedCallableFallsBackToBoxedStorage) {
-  EventQueue q;
-  // Deliberately larger than any inline slot: the pool must box it on the
-  // heap, and ASAN must see it freed exactly once.
-  std::array<double, 64> payload{};
-  payload[0] = 1.0;
-  payload[63] = 2.0;
-  static_assert(sizeof(payload) > EventQueue::kInlineBytes);
-  double sum = 0.0;
-  double* out = &sum;
-  q.schedule(1.0, [payload, out] { *out = payload[0] + payload[63]; });
-  q.pop().callback();
-  EXPECT_DOUBLE_EQ(sum, 3.0);
-}
-
-TEST(EventPool, BoxedStoresCountsOnlyOversizedCallables) {
-  EventQueue q;
-  std::array<char, EventQueue::kInlineBytes> fits{};
-  std::array<char, EventQueue::kInlineBytes + 1> too_big{};
-  q.schedule(1.0, [fits] { (void)fits; });
-  EXPECT_EQ(q.boxed_stores(), 0u);
-  q.schedule(2.0, [too_big] { (void)too_big; });
-  EXPECT_EQ(q.boxed_stores(), 1u);
-}
-
 TEST(EventPool, CancelDestroysCapturesImmediately) {
   EventQueue q;
   auto token = std::make_shared<int>(7);
@@ -596,9 +571,9 @@ TEST(PeriodicDifferential, InSlotRearmMatchesReschedulingReference) {
   }
 }
 
-// Every capture the simulation schedules fits an inline slot. A future
-// closure that outgrows kInlineBytes fails here instead of silently costing
-// a heap allocation per event.
+// Every capture the simulation schedules fits an inline slot: a closure that
+// outgrows kInlineBytes fails EventQueue's static_assert at compile time.
+// These runs drive the lossy, faulty and chaotic paths end to end.
 class InlineSlots : public ::testing::TestWithParam<core::Algorithm> {};
 
 TEST_P(InlineSlots, NoSimulationCallbackIsBoxed) {
@@ -636,7 +611,6 @@ TEST_P(InlineSlots, NoSimulationCallbackIsBoxed) {
     core::Simulation sim(*cfg);
     sim.run();
     EXPECT_GT(sim.simulator().executed(), 0u);
-    EXPECT_EQ(sim.simulator().boxed_stores(), 0u);
   }
 }
 

@@ -32,6 +32,8 @@
 #include "obs/metrics_registry.hpp"
 #include "core/simulation.hpp"
 #include "runner/executor.hpp"
+#include "service/daemon.hpp"
+#include "service/signal.hpp"
 #include "service/telemetry.hpp"
 
 namespace sensrep {
@@ -73,7 +75,8 @@ TEST(MetricsRegistry, DisabledIncrementsAreNoOps) {
   Metrics::reset();
   Metrics::enable(false);
   Metrics::observe(Hist::kRepairLatency, 10.0);
-  Metrics::set_gauge(Gauge::kSimClock, 5.0);
+  obs::CounterBlock block;
+  block.set(Gauge::kSimClock, 5.0);
   const obs::MetricsSnapshot s = Metrics::snapshot();
   EXPECT_EQ(s.hists[0].count, 0u);
   EXPECT_EQ(s.gauges[static_cast<std::size_t>(Gauge::kSimClock)], 0.0);
@@ -157,6 +160,34 @@ TEST(MetricsRegistry, ResetZeroesEverything) {
   // block is its own and keeps counting.
   EXPECT_EQ(Metrics::counter_value(Counter::kElections), 2u);
   EXPECT_EQ(Metrics::snapshot().hists[1].count, 0u);
+}
+
+TEST(MetricsRegistry, GaugesArePerSimulation) {
+  MetricsGuard guard;
+  service::reset_shutdown();
+  const auto gauge = [](Gauge g) {
+    return Metrics::snapshot().gauges[static_cast<std::size_t>(g)];
+  };
+  service::DaemonOptions opts;
+  opts.algorithm = core::Algorithm::kDynamicDistributed;
+  opts.robots = 4;
+  opts.telemetry_period = 100.0;
+  opts.flightrec_capacity = 0;  // the recorder is process-wide; leave it off
+  service::Daemon four(opts);
+  four.handle_line("advance 1000");
+  {
+    opts.robots = 6;
+    service::Daemon six(opts);
+    six.handle_line("advance 500");
+    // Counts sum over the live simulations; the clock is the furthest one.
+    EXPECT_EQ(gauge(Gauge::kLiveRobots), 10.0);
+    EXPECT_EQ(gauge(Gauge::kSimClock), 1000.0);
+  }
+  // A destroyed simulation's gauges leave with it.
+  EXPECT_EQ(gauge(Gauge::kLiveRobots), 4.0);
+  EXPECT_EQ(gauge(Gauge::kSimClock), 1000.0);
+  four.handle_line("advance 1000");
+  EXPECT_EQ(gauge(Gauge::kSimClock), 2000.0);
 }
 
 TEST(MetricsRegistry, CategoryLabelsMirrorMessageCategories) {
@@ -381,7 +412,7 @@ TEST(Exporters, PrometheusTextShape) {
   block.inc(Counter::kSensorFailures, 3);
   block.tx(metrics::MessageCategory::kBeacon, 10);
   Metrics::observe(Hist::kRepairLatency, 45.0);
-  Metrics::set_gauge(Gauge::kLiveRobots, 4.0);
+  block.set(Gauge::kLiveRobots, 4.0);
   const std::string text = obs::prometheus_text(Metrics::snapshot());
   EXPECT_NE(text.find("# TYPE sensrep_sensor_failures_total counter\n"),
             std::string::npos);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/simulation.hpp"
-#include "metrics/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "runner/executor.hpp"
 #include "service/daemon.hpp"
@@ -416,21 +415,6 @@ TEST(TracerCompact, RetiresOldClosedSpansKeepsOpenOnes) {
   EXPECT_EQ(tracer.opened(), 0u);
 }
 
-TEST(TimeSeriesDropBefore, KeepsTheSampleInForceAtTheCutoff) {
-  metrics::TimeSeries series;
-  for (int i = 0; i <= 10; ++i) series.add(i * 10.0, static_cast<double>(i));
-  series.drop_before(35.0);
-  EXPECT_EQ(series.dropped(), 3u);  // t=0,10,20 dropped; t=30 is in force at 35
-  EXPECT_EQ(series.size(), 8u);
-  EXPECT_EQ(series.value_at(35.0), 3.0);
-  EXPECT_EQ(series.value_at(100.0), 10.0);
-  series.drop_before(1000.0);  // far future: everything but the last sample
-  EXPECT_EQ(series.size(), 1u);
-  EXPECT_EQ(series.value_at(1000.0), 10.0);
-  series.drop_before(2000.0);  // idempotent on a single sample
-  EXPECT_EQ(series.size(), 1u);
-}
-
 TEST(TelemetryExporter, RetentionWindowBoundsSeriesAndTracer) {
   service::reset_shutdown();
   auto opts = daemon_options(core::Algorithm::kDynamicDistributed);
@@ -439,12 +423,18 @@ TEST(TelemetryExporter, RetentionWindowBoundsSeriesAndTracer) {
   opts.trace_stages = true;
   service::Daemon daemon(opts);
   daemon.handle_line("advance 2000");
-  const auto& availability = daemon.exporter()->availability_series();
-  ASSERT_FALSE(availability.empty());
-  // 40 ticks happened; the window keeps ~200s/50s = 4-5 of them.
-  EXPECT_LE(availability.size(), 6u);
-  EXPECT_GE(availability.points().front().first, 1750.0);
   EXPECT_EQ(daemon.exporter()->samples_taken(), 40u);
+  // The last tick, at t=2000, compacted every span closed before 1800;
+  // open spans survive whatever their age.
+  const obs::Tracer* tracer = daemon.simulation().field().events().tracer();
+  ASSERT_NE(tracer, nullptr);
+  EXPECT_GT(tracer->retired(), 0u);
+  ASSERT_GT(tracer->closed_count(), 0u);
+  for (const obs::Span& span : tracer->spans()) {
+    if (span.closed()) {
+      EXPECT_GE(span.end, 1800.0);
+    }
+  }
 }
 
 // --- snapshot ---------------------------------------------------------------

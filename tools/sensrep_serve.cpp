@@ -26,8 +26,8 @@
 //   --loss=P              per-reception Bernoulli loss probability
 //   --telemetry-period=S  sample telemetry every S sim seconds (0 = off)
 //   --telemetry-jsonl=PATH  also write telemetry samples as JSON lines
-//   --retention-window=S  keep only the last S sim seconds of telemetry
-//                         series and closed trace spans (soak mode)
+//   --retention-window=S  keep only the last S sim seconds of closed trace
+//                         spans (soak mode)
 //   --trace-stages        attach the span tracer; telemetry gains per-stage
 //                         p50/p90/p99
 //   --restore=PATH        resume from a snapshot instead of a fresh start

@@ -19,7 +19,7 @@
 //   --crash-every=N       crash a robot every N injected failures, repair it
 //                         on the following advance (0 = never; default 5000)
 //   --telemetry-period=S  telemetry sampling period (default 300)
-//   --retention-window=S  telemetry/trace retention (default 3600)
+//   --retention-window=S  closed trace span retention (default 3600)
 //   --trace-stages        attach the span tracer (heavier; the retention
 //                         window is what keeps it bounded)
 //   --max-rss-growth-mb=M fail (exit 1) if RSS grows more than M MiB between
