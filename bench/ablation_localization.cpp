@@ -58,27 +58,24 @@ Outcome run_noise(double range_noise) {
                               Rect::sized(600, 600), range);
 
   struct Node {
+    Node(NodeId id, Vec2 believed_pos, sensrep::net::Medium& radio)
+        : believed(believed_pos), router(id, radio, table, believed) {}
     Vec2 believed;
     sensrep::routing::NeighborTable table;
-    std::unique_ptr<sensrep::routing::GeoRouter> router;
+    sensrep::routing::GeoRouter router;
     std::size_t delivered = 0;
     std::uint64_t hops = 0;
   };
   std::vector<std::unique_ptr<Node>> nodes;
   for (NodeId i = 0; i < n; ++i) {
-    auto node = std::make_unique<Node>();
-    node->believed = loc.estimated[i];
+    auto node = std::make_unique<Node>(i, loc.estimated[i], medium);
     Node* raw = node.get();
-    sensrep::routing::GeoRouter::Callbacks cb;
-    cb.deliver = [raw](const Packet& pkt) {
-      ++raw->delivered;
-      raw->hops += pkt.hops;
-    };
-    node->router = std::make_unique<sensrep::routing::GeoRouter>(
-        i, medium, node->table, [raw] { return raw->believed; }, std::move(cb));
     // Radio truth: attached at the TRUE position.
     medium.attach(i, truth[i], range, [raw](const Packet& pkt, NodeId from) {
-      raw->router->on_receive(pkt, from);
+      if (raw->router.on_receive(pkt, from)) {
+        ++raw->delivered;
+        raw->hops += pkt.hops;
+      }
     });
     nodes.push_back(std::move(node));
   }
@@ -107,7 +104,7 @@ Outcome run_noise(double range_noise) {
     pkt.ttl = 256;
     const auto before = nodes[dst]->delivered;
     const auto hops_before = nodes[dst]->hops;
-    nodes[src]->router->send(std::move(pkt));
+    nodes[src]->router.send(std::move(pkt));
     simulator.run_all();
     ++sent;
     if (nodes[dst]->delivered > before) {

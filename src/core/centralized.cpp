@@ -18,8 +18,8 @@ using net::PacketType;
 void CentralizedAlgorithm::initialize() {
   manager_pos_ = config().field_area().center();
   manager_ = std::make_unique<ManagerNode>(
-      config().manager_id(), manager_pos_, config().robot_tx_range, *ctx().simulator,
-      *ctx().medium, [this](const Packet& pkt) { handle_manager_packet(pkt); });
+      config().manager_id(), manager_pos_, config().robot_tx_range, *ctx().medium,
+      [this](const Packet& pkt) { handle_manager_packet(pkt); });
 
   // Init message 1 (paper §3.1): the manager broadcasts its location to all
   // sensors and robots — a network-wide flood in which every sensor relays
@@ -240,7 +240,6 @@ void CentralizedAlgorithm::dispatch(const net::FailureReportPayload& failure) {
   request.type = PacketType::kRepairRequest;
   request.dst = best;
   request.dst_location = robot_locations_[best];
-  request.seq = ++dispatch_seq_;  // duplication dedup at the robot
   request.payload =
       net::RepairRequestPayload{failure.failed_node, failure.failed_location,
                                 failure.failure_id};

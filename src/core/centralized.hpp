@@ -101,10 +101,10 @@ class CentralizedAlgorithm final : public CoordinationAlgorithm {
   std::uint32_t election_seq_ = 0;    // per-election round tag (ack correlation)
   std::uint32_t transfer_seq_ = 0;    // handback-offer retry dedup
 
-  // Link-duplication hardening (chaos::DuplicationConfig): every radio-borne
-  // dispatch/election packet carries a sequence, and exact copies are dropped
-  // at the receiver so a duplicated frame never acts twice.
-  std::uint32_t dispatch_seq_ = 0;  // stamps outgoing kRepairRequest packets
+  // Link-duplication hardening (chaos::DuplicationConfig): the router stamps
+  // every geo-routed dispatch/election packet with an originator-scoped seq,
+  // and exact (src, seq) copies are dropped at the receiver so a duplicated
+  // frame never acts twice.
   std::set<std::pair<net::NodeId, std::uint32_t>> seen_requests_;
   // Per robot: the (winner, election_seq) ballot it last acked — a duplicated
   // ballot is not re-acked, so one election yields at most one ack per robot.

@@ -15,7 +15,7 @@ DataCollection::DataCollection(Simulation& simulation, const Config& config)
   const NodeId sink_id = simulation.config().manager_id() + 1;
   sink_ = std::make_unique<ManagerNode>(
       sink_id, simulation.config().field_area().center(),
-      simulation.config().robot_tx_range, simulation.simulator(), simulation.medium(),
+      simulation.config().robot_tx_range, simulation.medium(),
       [this](const Packet& pkt) {
         if (pkt.type != PacketType::kData) return;
         ++delivered_;

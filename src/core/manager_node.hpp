@@ -1,14 +1,12 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "geometry/vec2.hpp"
 #include "net/medium.hpp"
 #include "net/packet.hpp"
 #include "routing/geo_router.hpp"
 #include "routing/neighbor_table.hpp"
-#include "sim/simulator.hpp"
 
 namespace sensrep::core {
 
@@ -19,8 +17,8 @@ class ManagerNode {
  public:
   using DeliverFn = std::function<void(const net::Packet&)>;
 
-  ManagerNode(net::NodeId id, geometry::Vec2 pos, double tx_range,
-              sim::Simulator& simulator, net::Medium& medium, DeliverFn deliver);
+  ManagerNode(net::NodeId id, geometry::Vec2 pos, double tx_range, net::Medium& medium,
+              DeliverFn deliver);
 
   ManagerNode(const ManagerNode&) = delete;
   ManagerNode& operator=(const ManagerNode&) = delete;
@@ -28,7 +26,7 @@ class ManagerNode {
   [[nodiscard]] net::NodeId id() const noexcept { return id_; }
   [[nodiscard]] geometry::Vec2 position() const noexcept { return pos_; }
   [[nodiscard]] bool failed() const noexcept { return failed_; }
-  [[nodiscard]] routing::GeoRouter& router() noexcept { return *router_; }
+  [[nodiscard]] routing::GeoRouter& router() noexcept { return router_; }
 
   /// Kills the manager (fault injection): detaches it from the radio medium
   /// and stops packet handling. Idempotent. The fleet only notices when the
@@ -52,7 +50,7 @@ class ManagerNode {
   double tx_range_;
   net::Medium* medium_;
   routing::NeighborTable table_;
-  std::unique_ptr<routing::GeoRouter> router_;
+  routing::GeoRouter router_;
   DeliverFn deliver_;
   bool failed_ = false;
 };

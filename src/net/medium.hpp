@@ -184,6 +184,8 @@ class Medium {
   /// True when any adversarial link behavior is active.
   [[nodiscard]] bool chaos_active() const noexcept { return chaos_ != nullptr; }
 
+  [[nodiscard]] sim::SimTime now() const noexcept { return sim_->now(); }
+
  private:
   struct Transceiver {
     geometry::Vec2 pos;

@@ -21,21 +21,12 @@ RobotNode::RobotNode(NodeId id, Vec2 pos, const Config& config, sim::Simulator& 
       medium_(&medium),
       field_(&field),
       policy_(&policy),
+      router_(id, medium, table_, pos_),
       spares_(config.spares) {
   if (config.speed <= 0.0) throw std::invalid_argument("RobotNode: speed must be positive");
   if (config.update_threshold <= 0.0) {
     throw std::invalid_argument("RobotNode: update_threshold must be positive");
   }
-  routing::GeoRouter::Callbacks cb;
-  cb.deliver = [this](const Packet& pkt) { policy_->on_robot_packet(*this, pkt); };
-  cb.drop = [this](const Packet& pkt, routing::DropReason reason) {
-    trace::Logger::global().logf(trace::Level::kDebug, sim_->now(), "robot",
-                                 "robot %u dropped %s: %s", id_,
-                                 std::string(net::to_string(pkt.type)).c_str(),
-                                 std::string(to_string(reason)).c_str());
-  };
-  router_ = std::make_unique<routing::GeoRouter>(
-      id_, medium, table_, [this] { return pos_; }, std::move(cb));
   medium_->attach(id_, pos_, config_.tx_range,
                   [this](const Packet& pkt, NodeId from) { on_packet(pkt, from); },
                   net::Mobility::kMobile);
@@ -55,7 +46,7 @@ void RobotNode::on_packet(const Packet& pkt, NodeId from) {
   // only geo-routed unicasts concern the robot's router.
   if (pkt.dst == net::kBroadcastId) return;
   refresh_neighbor_table();
-  router_->on_receive(pkt, from);
+  if (router_.on_receive(pkt, from)) policy_->on_robot_packet(*this, pkt);
 }
 
 void RobotNode::start_heartbeat(double period) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 
 #include "geometry/vec2.hpp"
@@ -104,7 +103,7 @@ class RobotNode {
   [[nodiscard]] const RepairTask* last_completed() const noexcept {
     return last_completed_ ? &*last_completed_ : nullptr;
   }
-  [[nodiscard]] routing::GeoRouter& router() noexcept { return *router_; }
+  [[nodiscard]] routing::GeoRouter& router() noexcept { return router_; }
   [[nodiscard]] routing::NeighborTable& table() noexcept { return table_; }
 
   /// Monotone sequence for this robot's location updates (flood dedup).
@@ -174,7 +173,7 @@ class RobotNode {
   RobotPolicy* policy_;
 
   routing::NeighborTable table_;
-  std::unique_ptr<routing::GeoRouter> router_;
+  routing::GeoRouter router_;
 
   TaskQueue queue_;
   std::optional<RepairTask> current_;

@@ -1,9 +1,12 @@
 #include "routing/geo_router.hpp"
 
-#include <cassert>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "obs/profiler.hpp"
 #include "routing/face_routing.hpp"
+#include "trace/log.hpp"
 
 namespace sensrep::routing {
 
@@ -24,45 +27,39 @@ std::string_view to_string(DropReason r) noexcept {
 }
 
 GeoRouter::GeoRouter(NodeId self, net::Medium& medium, NeighborTable& table,
-                     std::function<Vec2()> position, Callbacks callbacks,
-                     PlanarGraph planar_kind)
-    : self_(self),
-      medium_(&medium),
-      table_(&table),
-      position_(std::move(position)),
-      callbacks_(std::move(callbacks)),
-      planar_kind_(planar_kind) {
-  assert(callbacks_.deliver && "GeoRouter requires a deliver callback");
-}
+                     const Vec2& position)
+    : medium_(medium), table_(table), pos_(position), self_(self) {}
 
 void GeoRouter::send(Packet pkt) {
+  if (pkt.dst == self_) throw std::logic_error("GeoRouter::send: packet addressed to self");
   pkt.src = self_;
   pkt.seq = next_seq_++;
-  if (pkt.dst == self_) {
-    callbacks_.deliver(pkt);
-    return;
-  }
   forward(std::move(pkt), kNoNode);
 }
 
-void GeoRouter::on_receive(const Packet& pkt, NodeId from) {
-  if (pkt.dst == self_) {
-    callbacks_.deliver(pkt);
-    return;
-  }
+bool GeoRouter::on_receive(const Packet& pkt, NodeId from) {
+  if (pkt.dst == self_) return true;
   forward(pkt, from);
+  return false;
+}
+
+std::uint64_t GeoRouter::drops() const noexcept {
+  return std::accumulate(drops_.begin(), drops_.end(), std::uint64_t{0});
 }
 
 void GeoRouter::drop_packet(const Packet& pkt, DropReason reason) {
-  ++drops_;
-  if (callbacks_.drop) callbacks_.drop(pkt, reason);
+  ++drops_[static_cast<std::size_t>(reason)];
+  trace::Logger::global().logf(trace::Level::kDebug, medium_.now(), "routing",
+                               "node %u dropped %s: %s", self_,
+                               std::string(net::to_string(pkt.type)).c_str(),
+                               std::string(to_string(reason)).c_str());
 }
 
 bool GeoRouter::try_unicast(NodeId next, const Packet& pkt) {
-  if (medium_->unicast(self_, next, pkt)) return true;
+  if (medium_.unicast(self_, next, pkt)) return true;
   // The link is down (neighbor died or moved away): evict so the next
   // candidate computation does not pick it again.
-  table_->remove(next);
+  table_.remove(next);
   return false;
 }
 
@@ -80,7 +77,7 @@ void GeoRouter::forward(Packet pkt, NodeId from) {
   // Robots announce themselves to nearby sensors, so the final hop to a
   // moving robot resolves here even when the advertised dst_location lags
   // its true position by up to the 20 m update threshold.
-  while (table_->contains(pkt.dst)) {
+  while (table_.contains(pkt.dst)) {
     if (try_unicast(pkt.dst, pkt)) return;
   }
 
@@ -91,7 +88,7 @@ void GeoRouter::forward(Packet pkt, NodeId from) {
   for (int flips = 0; flips < 4; ++flips) {
     if (pkt.geo.mode == GeoMode::kGreedy) {
       if (greedy_hop(pkt)) return;
-      if (table_->empty()) {
+      if (table_.empty()) {
         drop_packet(pkt, DropReason::kNoNeighbors);
         return;
       }
@@ -99,15 +96,15 @@ void GeoRouter::forward(Packet pkt, NodeId from) {
       // state; the first edge is chosen by the right-hand rule from the
       // line self->dst).
       pkt.geo.mode = GeoMode::kPerimeter;
-      pkt.geo.entry_loc = position_();
-      pkt.geo.face_entry = position_();
+      pkt.geo.entry_loc = pos_;
+      pkt.geo.face_entry = pos_;
       pkt.geo.first_edge_from = kNoNode;
       pkt.geo.first_edge_to = kNoNode;
       from = kNoNode;  // the sweep reference is the dst line, not an edge
       continue;
     }
     // Perimeter mode: resume greedy once strictly closer than the entry.
-    if (geometry::distance(position_(), pkt.dst_location) <
+    if (geometry::distance(pos_, pkt.dst_location) <
         geometry::distance(pkt.geo.entry_loc, pkt.dst_location)) {
       pkt.geo.mode = GeoMode::kGreedy;
       continue;
@@ -121,10 +118,10 @@ void GeoRouter::forward(Packet pkt, NodeId from) {
 }
 
 bool GeoRouter::greedy_hop(Packet& pkt) {
-  const Vec2 here = position_();
+  const Vec2 here = pos_;
   for (;;) {
     const double my_d = geometry::distance(here, pkt.dst_location);
-    const auto cand = table_->closest_to_with_progress(pkt.dst_location, my_d);
+    const auto cand = table_.closest_to_with_progress(pkt.dst_location, my_d);
     if (!cand) return false;
     if (try_unicast(cand->id, pkt)) return true;
     // Link failed; entry was evicted — try the next best candidate.
@@ -132,9 +129,9 @@ bool GeoRouter::greedy_hop(Packet& pkt) {
 }
 
 bool GeoRouter::perimeter_hop(Packet& pkt, NodeId from) {
-  const Vec2 here = position_();
+  const Vec2 here = pos_;
   for (;;) {
-    const auto planar = planar_neighbors(planar_kind_, here, table_->entries());
+    const auto planar = planar_neighbors(PlanarGraph::kGabriel, here, table_.entries());
     if (planar.empty()) {
       drop_packet(pkt, DropReason::kNoNeighbors);
       return false;
@@ -144,7 +141,7 @@ bool GeoRouter::perimeter_hop(Packet& pkt, NodeId from) {
     // (perimeter entry at this node).
     Vec2 ref;
     if (from != kNoNode) {
-      if (const auto fpos = table_->position_of(from)) {
+      if (const auto fpos = table_.position_of(from)) {
         ref = *fpos - here;
       } else {
         ref = pkt.dst_location - here;
@@ -185,7 +182,7 @@ bool GeoRouter::perimeter_hop(Packet& pkt, NodeId from) {
     }
 
     if (try_unicast(cand->id, pkt)) return true;
-    if (table_->empty()) {
+    if (table_.empty()) {
       drop_packet(pkt, DropReason::kLinkFailure);
       return false;
     }

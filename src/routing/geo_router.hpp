@@ -1,7 +1,8 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string_view>
 
 #include "net/medium.hpp"
@@ -25,40 +26,38 @@ enum class DropReason {
 /// after GPSR (Karp & Kung 2000) / GFG (Bose et al. 1999) — the stack the
 /// paper states it implements on GloMoSim (§4.2).
 ///
-/// One instance lives on every routable node (sensor or robot). It consults
-/// the node's NeighborTable, transmits via the shared Medium, and hands
-/// packets destined to this node to the `deliver` callback.
+/// Every routable node (sensor, robot, manager) holds one by value. It reads
+/// the owner's position and NeighborTable in place, transmits via the shared
+/// Medium and face-routes on the Gabriel planarization. It reports instead of
+/// calling back: on_receive() says whether a packet is this node's, and a
+/// discarded packet is counted by reason and logged here. send() stamps the
+/// originator-scoped seq that receivers deduplicate (src, seq) on, from a
+/// counter that is never reset; a sensor slot's router outlives its units.
 class GeoRouter {
  public:
-  struct Callbacks {
-    /// Packet whose dst is this node (or that was addressed to this node's
-    /// location and arrived). Required.
-    std::function<void(const net::Packet&)> deliver;
-    /// Packet this node had to discard. Optional.
-    std::function<void(const net::Packet&, DropReason)> drop;
-  };
-
-  /// `position` supplies the node's current location (robots move).
+  /// `position` and `table` are the owner's; both must outlive the router
+  /// (owners are non-movable and update their position in place).
   GeoRouter(net::NodeId self, net::Medium& medium, NeighborTable& table,
-            std::function<geometry::Vec2()> position, Callbacks callbacks,
-            PlanarGraph planar_kind = PlanarGraph::kGabriel);
+            const geometry::Vec2& position);
 
   GeoRouter(const GeoRouter&) = delete;
   GeoRouter& operator=(const GeoRouter&) = delete;
 
   /// Originates a geo-routed packet. pkt.dst and pkt.dst_location must be
-  /// set; pkt.src/seq are stamped here.
+  /// set; pkt.src/seq are stamped here. Precondition: pkt.dst is another
+  /// node (throws std::logic_error otherwise).
   void send(net::Packet pkt);
 
-  /// Entry point for received geo-routed packets (wired by the owning node's
-  /// receive dispatch).
-  void on_receive(const net::Packet& pkt, net::NodeId from);
+  /// Entry point for received geo-routed packets (called by the owning
+  /// node's receive dispatch). Returns true when pkt.dst is this node, for
+  /// the caller to handle; otherwise forwards or drops the packet.
+  [[nodiscard]] bool on_receive(const net::Packet& pkt, net::NodeId from);
 
-  [[nodiscard]] net::NodeId self() const noexcept { return self_; }
-  [[nodiscard]] NeighborTable& table() noexcept { return *table_; }
-
-  /// Packets discarded by this router, by reason (diagnostics).
-  [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
+  /// Packets this router discarded, in total and for one reason.
+  [[nodiscard]] std::uint64_t drops() const noexcept;
+  [[nodiscard]] std::uint64_t drops(DropReason reason) const noexcept {
+    return drops_[static_cast<std::size_t>(reason)];
+  }
 
  private:
   void forward(net::Packet pkt, net::NodeId from);
@@ -70,14 +69,12 @@ class GeoRouter {
   /// Unicast wrapper that evicts dead next hops and reports link success.
   bool try_unicast(net::NodeId next, const net::Packet& pkt);
 
+  net::Medium& medium_;
+  NeighborTable& table_;
+  const geometry::Vec2& pos_;
   net::NodeId self_;
-  net::Medium* medium_;
-  NeighborTable* table_;
-  std::function<geometry::Vec2()> position_;
-  Callbacks callbacks_;
-  PlanarGraph planar_kind_;
   std::uint32_t next_seq_ = 1;
-  std::uint64_t drops_ = 0;
+  std::array<std::uint64_t, static_cast<std::size_t>(DropReason::kLinkFailure) + 1> drops_{};
 };
 
 }  // namespace sensrep::routing

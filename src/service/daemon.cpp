@@ -1,6 +1,8 @@
 #include "service/daemon.hpp"
 
+#include <array>
 #include <istream>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -62,9 +64,40 @@ Daemon::~Daemon() {
   if (jsonl_) jsonl_->close();
 }
 
+namespace {
+
+std::mutex switch_mutex;
+std::array<int, 2> switch_holders{};  // live daemons holding each switch
+
+}  // namespace
+
+void Daemon::SwitchHold::acquire() {
+  const std::lock_guard lock(switch_mutex);
+  const bool armed =
+      which == kMetrics ? obs::Metrics::enabled() : obs::FlightRecorder::enabled();
+  if (switch_holders[which] == 0 && armed) return;  // someone else's switch
+  ++switch_holders[which];
+  held = true;
+}
+
+Daemon::SwitchHold::~SwitchHold() {
+  if (!held) return;
+  const std::lock_guard lock(switch_mutex);
+  if (--switch_holders[which] > 0) return;
+  if (which == kMetrics) {
+    obs::Metrics::enable(false);
+  } else {
+    obs::FlightRecorder::disable();
+  }
+}
+
 void Daemon::construct() {
-  if (opts_.metrics) obs::Metrics::enable(true);
+  if (opts_.metrics) {
+    metrics_hold_.acquire();
+    obs::Metrics::enable(true);
+  }
   if (opts_.flightrec_capacity > 0) {
+    flightrec_hold_.acquire();
     obs::FlightRecorder::enable(opts_.flightrec_capacity);
   }
   core::SimulationConfig cfg = opts_.simulation_config();

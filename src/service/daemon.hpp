@@ -68,12 +68,25 @@ class Daemon {
   [[nodiscard]] TelemetryExporter* exporter() noexcept { return exporter_.get(); }
 
  private:
+  /// A process-wide observability switch (obs::Metrics, obs::FlightRecorder)
+  /// that this daemon arms. It holds the switch only if it found it off or
+  /// held by another daemon; the last holder to go disarms it, and a switch
+  /// armed by anyone else (sensrep_cli, perfbench, a test) stays as it was.
+  struct SwitchHold {
+    enum Switch { kMetrics, kFlightRecorder } which;
+    bool held = false;
+    void acquire();  // before arming the switch
+    ~SwitchHold();
+  };
+
   void construct();
   void arm_interrupt();
   std::string apply_mutation(const Command& c);
   std::string dispatch_query(const Command& c);
 
   DaemonOptions opts_;
+  SwitchHold metrics_hold_{SwitchHold::kMetrics};  // released after all below
+  SwitchHold flightrec_hold_{SwitchHold::kFlightRecorder};
   obs::Tracer tracer_;  // before sim_: attached spans must outlive the run
   std::ofstream jsonl_file_;
   std::unique_ptr<JsonlSink> jsonl_;

@@ -55,8 +55,9 @@ struct DaemonOptions {
   // daemon picks its own sinks, and enabling any of them never changes the
   // simulation's observable state.
 
-  /// Arms the process-wide metrics registry (obs::Metrics). sensrep_serve
-  /// sets this implicitly when any metrics endpoint/sink flag is given.
+  /// Arms the process-wide metrics registry (obs::Metrics) for the daemon's
+  /// lifetime. sensrep_serve sets this implicitly when any metrics
+  /// endpoint/sink flag is given.
   bool metrics = false;
 
   /// InfluxDB line-protocol sink: a file path or "tcp://host:port"
@@ -75,6 +76,7 @@ struct DaemonOptions {
   /// Flight-recorder ring capacity in records; 0 disables. Always on by
   /// default in service mode — the ring is fixed-size and a disabled-or-
   /// enabled note() costs one relaxed load plus one relaxed fetch_add.
+  /// Armed for the daemon's lifetime (see Daemon::SwitchHold).
   std::size_t flightrec_capacity = 65536;
 
   /// Where SIGUSR1 dumps the flight recorder.

@@ -114,20 +114,6 @@ class UniformGrid2D {
     it->second = new_pos;
   }
 
-  /// Relocation with the caller's belief of the old position; throws if it
-  /// disagrees with the stored one (a desync means a call site forgot an
-  /// update — fail loudly rather than silently corrupt the index).
-  void move(Id id, geometry::Vec2 old_pos, geometry::Vec2 new_pos) {
-    const auto it = positions_.find(id);
-    if (it == positions_.end()) {
-      throw std::out_of_range("UniformGrid2D::move: unknown id");
-    }
-    if (it->second != old_pos) {
-      throw std::logic_error("UniformGrid2D::move: stale old_pos (index desync)");
-    }
-    move(id, new_pos);
-  }
-
   /// Nearest accepted object under the squared-distance key (ties by lowest
   /// id). `accept(id)` filters candidates (e.g. "not presumed dead").
   template <typename Filter>

@@ -241,7 +241,7 @@ std::size_t SensorField::alive_count() const noexcept {
 
 std::uint64_t SensorField::router_drops() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& s : slots_) n += s->router_->drops();
+  for (const auto& s : slots_) n += s->router_.drops();
   return n;
 }
 

@@ -16,28 +16,7 @@ using net::Packet;
 using net::PacketType;
 
 SensorNode::SensorNode(NodeId id, Vec2 pos, SensorField& field)
-    : id_(id), pos_(pos), field_(&field) {
-  routing::GeoRouter::Callbacks cb;
-  cb.deliver = [this](const Packet& pkt) {
-    if (pkt.type == PacketType::kReportAck) {
-      on_report_ack(std::get<net::ReportAckPayload>(pkt.payload).failed_node);
-      return;
-    }
-    // Other geo-routed packets terminate at managers/robots; a sensor as
-    // final destination indicates a misrouted packet. Log, don't crash.
-    trace::Logger::global().logf(trace::Level::kDebug, field_->simulator().now(), "wsn",
-                                 "sensor %u received stray %s", id_,
-                                 std::string(net::to_string(pkt.type)).c_str());
-  };
-  cb.drop = [this](const Packet& pkt, routing::DropReason reason) {
-    trace::Logger::global().logf(trace::Level::kDebug, field_->simulator().now(), "wsn",
-                                 "sensor %u dropped %s: %s", id_,
-                                 std::string(net::to_string(pkt.type)).c_str(),
-                                 std::string(to_string(reason)).c_str());
-  };
-  router_ = std::make_unique<routing::GeoRouter>(
-      id_, field.medium(), table_, [this] { return pos_; }, std::move(cb));
-}
+    : id_(id), pos_(pos), field_(&field), router_(id, field.medium(), table_, pos_) {}
 
 void SensorNode::add_guardee(NodeId id) {
   if (std::find(guardees_.begin(), guardees_.end(), id) == guardees_.end()) {
@@ -324,10 +303,10 @@ void SensorNode::report_guardee_failure(NodeId failed) {
   pkt.type = PacketType::kFailureReport;
   pkt.dst = target->manager;
   pkt.dst_location = target->location;
-  // Every (re)transmission carries a fresh originator-scoped seq: receivers
-  // drop exact copies (link duplication) but process retries and re-reports.
-  // Monotonic across incarnations so a revived slot never reuses a seq.
-  pkt.seq = ++report_seq_;
+  // The router stamps every (re)transmission with a fresh originator-scoped
+  // seq: receivers drop exact copies (link duplication) but process retries
+  // and re-reports. The router lives with the slot, so a replacement unit
+  // never reuses its predecessor's numbers.
   net::FailureReportPayload body;
   body.failed_node = failed;
   body.failed_location = field_->node(failed).position();
@@ -335,7 +314,7 @@ void SensorNode::report_guardee_failure(NodeId failed) {
   body.failure_id = fid ? *fid + 1 : 0;  // 0 = untagged
   body.reporter_location = pos_;
   pkt.payload = body;
-  router_->send(std::move(pkt));
+  router_.send(std::move(pkt));
 
   if (field_->config().reliable_reports) arm_report_retry(failed);
 }
@@ -423,29 +402,36 @@ void SensorNode::on_packet(const Packet& pkt, NodeId from) {
     case PacketType::kGuardianConfirm:
       if (pkt.dst == id_) add_guardee(pkt.src);
       break;
-    case PacketType::kLocationUpdate:
-      if (pkt.dst == kBroadcastId) {
-        field_->policy().on_location_update(*this, pkt, from);
-      } else {
-        router_->on_receive(pkt, from);
-      }
-      break;
     case PacketType::kManagerHeartbeat:
       // Liveness flood seed from the (acting) manager: refresh its entry so
       // it stays usable as a forwarding hop.
       table_.upsert(pkt.src, std::get<net::ManagerHeartbeatPayload>(pkt.payload).location);
       break;
+    case PacketType::kReportAck:
+      if (router_.on_receive(pkt, from)) {
+        on_report_ack(std::get<net::ReportAckPayload>(pkt.payload).failed_node);
+      }
+      break;
+    case PacketType::kLocationUpdate:
+      if (pkt.dst == kBroadcastId) {
+        field_->policy().on_location_update(*this, pkt, from);
+        break;
+      }
+      [[fallthrough]];
     case PacketType::kFailureReport:
     case PacketType::kRepairRequest:
     case PacketType::kData:
-    case PacketType::kReportAck:
     case PacketType::kTaskComplete:
     case PacketType::kElection:
     case PacketType::kElectionAck:
     case PacketType::kOwnershipTransfer:
-      // Robot-plane unicasts (election, ownership handover): sensors only
-      // forward them along the geo-route.
-      router_->on_receive(pkt, from);
+      // Geo-routed unicasts to managers and robots: sensors only forward
+      // them. One that ends at a sensor was misrouted. Log, don't crash.
+      if (router_.on_receive(pkt, from)) {
+        trace::Logger::global().logf(trace::Level::kDebug, field_->simulator().now(), "wsn",
+                                     "sensor %u received stray %s", id_,
+                                     std::string(net::to_string(pkt.type)).c_str());
+      }
       break;
   }
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -61,7 +60,7 @@ class SensorNode {
 
   [[nodiscard]] routing::NeighborTable& table() noexcept { return table_; }
   [[nodiscard]] const routing::NeighborTable& table() const noexcept { return table_; }
-  [[nodiscard]] routing::GeoRouter& router() noexcept { return *router_; }
+  [[nodiscard]] routing::GeoRouter& router() noexcept { return router_; }
 
   [[nodiscard]] net::NodeId guardian() const noexcept { return guardian_; }
   [[nodiscard]] const std::vector<net::NodeId>& guardees() const noexcept { return guardees_; }
@@ -143,7 +142,6 @@ class SensorNode {
   std::uint32_t incarnation_ = 0;
 
   routing::NeighborTable table_;
-  std::unique_ptr<routing::GeoRouter> router_;
 
   net::NodeId guardian_ = net::kNoNode;
   std::vector<net::NodeId> guardees_;
@@ -173,11 +171,12 @@ class SensorNode {
   // Robot fault tolerance: failures this node reported that are not
   // yet repaired, keyed by slot -> time of the last report sent.
   std::unordered_map<net::NodeId, sim::SimTime> reported_pending_;
-  // Originator-scoped sequence stamped on outgoing failure reports (receiver
-  // duplication dedup). Monotonic across incarnations: never reset.
-  std::uint32_t report_seq_ = 0;
 
   sim::EventId tick_timer_{};
+
+  // Last: routing is rare next to the beacon tick, which reads the fields
+  // above and should find them in as few cache lines as possible.
+  routing::GeoRouter router_;
 };
 
 }  // namespace sensrep::wsn

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -172,7 +173,6 @@ TEST(MetricsRegistry, GaugesArePerSimulation) {
   opts.algorithm = core::Algorithm::kDynamicDistributed;
   opts.robots = 4;
   opts.telemetry_period = 100.0;
-  opts.flightrec_capacity = 0;  // the recorder is process-wide; leave it off
   service::Daemon four(opts);
   four.handle_line("advance 1000");
   {
@@ -518,8 +518,50 @@ TEST(MetricsHttpServerTest, ServesPrometheusTextOnEphemeralPort) {
 
 TEST(FlightRecorderTest, DisabledNotesAreNoOps) {
   FlightRecorder::disable();
+  // The ring is process-wide and may hold an earlier test's records: a
+  // disabled note must leave both the count and the contents unchanged.
+  const std::uint64_t recorded = FlightRecorder::recorded();
+  const std::string before = FlightRecorder::dump_jsonl();
   FlightRecorder::note(1.0, Kind::kDispatch, 1, 2);
-  EXPECT_TRUE(FlightRecorder::dump().empty());
+  EXPECT_EQ(FlightRecorder::recorded(), recorded);
+  EXPECT_EQ(FlightRecorder::dump_jsonl(), before);
+}
+
+TEST(FlightRecorderTest, DaemonDisarmsOnlyTheSwitchesItArmed) {
+  service::reset_shutdown();
+  FlightRecorder::disable();
+  Metrics::enable(false);
+  service::DaemonOptions opts;
+  opts.robots = 4;
+  opts.metrics = true;
+  {
+    const service::Daemon d(opts);
+    EXPECT_TRUE(FlightRecorder::enabled());
+    EXPECT_TRUE(Metrics::enabled());
+  }
+  EXPECT_FALSE(FlightRecorder::enabled());
+  EXPECT_FALSE(Metrics::enabled());
+
+  // Overlapping daemons: the switch stays armed until the last holder goes.
+  {
+    auto first = std::make_unique<service::Daemon>(opts);
+    const service::Daemon second(opts);
+    first.reset();
+    EXPECT_TRUE(FlightRecorder::enabled());
+    EXPECT_TRUE(Metrics::enabled());
+  }
+  EXPECT_FALSE(FlightRecorder::enabled());
+  EXPECT_FALSE(Metrics::enabled());
+
+  // A switch armed before the daemon existed is not the daemon's to disarm.
+  FlightRecorder::enable(64);
+  Metrics::enable(true);
+  { const service::Daemon d(opts); }
+  EXPECT_TRUE(FlightRecorder::enabled());
+  EXPECT_TRUE(Metrics::enabled());
+  FlightRecorder::disable();
+  Metrics::enable(false);
+  Metrics::reset();
 }
 
 TEST(FlightRecorderTest, KeepsTailOldestFirstAfterWrap) {

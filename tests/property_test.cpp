@@ -67,22 +67,18 @@ TEST_P(GeoRoutingProperty, DeliversIffConnected) {
   net::Medium medium(simulator, sim::Rng(p.seed + 1), {}, area, p.range);
 
   struct Node {
+    Node(NodeId id, Vec2 at, net::Medium& radio) : pos(at), router(id, radio, table, pos) {}
     Vec2 pos;
     routing::NeighborTable table;
-    std::unique_ptr<routing::GeoRouter> router;
+    routing::GeoRouter router;
     std::size_t delivered = 0;
   };
   std::vector<std::unique_ptr<Node>> nodes;
   for (NodeId i = 0; i < p.nodes; ++i) {
-    auto n = std::make_unique<Node>();
-    n->pos = pts[i];
+    auto n = std::make_unique<Node>(i, pts[i], medium);
     Node* raw = n.get();
-    routing::GeoRouter::Callbacks cb;
-    cb.deliver = [raw](const Packet&) { ++raw->delivered; };
-    n->router = std::make_unique<routing::GeoRouter>(
-        i, medium, n->table, [raw] { return raw->pos; }, std::move(cb));
     medium.attach(i, pts[i], p.range, [raw](const Packet& pkt, NodeId from) {
-      raw->router->on_receive(pkt, from);
+      if (raw->router.on_receive(pkt, from)) ++raw->delivered;
     });
     nodes.push_back(std::move(n));
   }
@@ -93,6 +89,12 @@ TEST_P(GeoRoutingProperty, DeliversIffConnected) {
       }
     }
   }
+
+  const auto total_drops = [&nodes] {
+    std::uint64_t n = 0;
+    for (const auto& node : nodes) n += node->router.drops();
+    return n;
+  };
 
   // Sample src/dst pairs; every *connected* pair must deliver (GFG
   // guarantee on the Gabriel-planarized unit-disk graph); disconnected
@@ -111,11 +113,15 @@ TEST_P(GeoRoutingProperty, DeliversIffConnected) {
     pkt.dst_location = pts[dst];
     pkt.ttl = 4 * static_cast<std::uint32_t>(p.nodes);
     before[dst] = nodes[dst]->delivered;
-    nodes[src]->router->send(std::move(pkt));
+    const std::uint64_t drops_before = total_drops();
+    nodes[src]->router.send(std::move(pkt));
     simulator.run_all();
     const bool connected = uf.find(src) == uf.find(dst);
     const bool delivered = nodes[dst]->delivered > before[dst];
     EXPECT_EQ(delivered, connected)
+        << "src=" << src << " dst=" << dst << " seed=" << p.seed;
+    // One packet, no loss: it ends in exactly one delivery or one drop.
+    EXPECT_EQ(total_drops() - drops_before, delivered ? 0u : 1u)
         << "src=" << src << " dst=" << dst << " seed=" << p.seed;
     ++attempted;
     expected += connected ? 1 : 0;

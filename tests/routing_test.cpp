@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <numbers>
 #include <memory>
+#include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "metrics/counters.hpp"
@@ -192,18 +193,10 @@ class RoutingHarness {
         range_(range) {}
 
   void add_node(NodeId id, Vec2 pos) {
-    auto state = std::make_unique<NodeState>();
-    state->pos = pos;
+    auto state = std::make_unique<NodeState>(id, pos, medium_);
     NodeState* raw = state.get();
-    GeoRouter::Callbacks cb;
-    cb.deliver = [this, id](const Packet& pkt) { delivered_[id].push_back(pkt); };
-    cb.drop = [this](const Packet& pkt, DropReason reason) {
-      drops_.emplace_back(pkt, reason);
-    };
-    state->router = std::make_unique<GeoRouter>(
-        id, medium_, state->table, [raw] { return raw->pos; }, std::move(cb));
-    medium_.attach(id, pos, range_, [raw](const Packet& pkt, NodeId from) {
-      raw->router->on_receive(pkt, from);
+    medium_.attach(id, pos, range_, [this, raw, id](const Packet& pkt, NodeId from) {
+      if (raw->router.on_receive(pkt, from)) delivered_[id].push_back(pkt);
     });
     nodes_.emplace(id, std::move(state));
   }
@@ -229,7 +222,7 @@ class RoutingHarness {
     pkt.payload = net::FailureReportPayload{};
     pkt.dst = to;
     pkt.dst_location = believed_location;
-    nodes_.at(from)->router->send(std::move(pkt));
+    nodes_.at(from)->router.send(std::move(pkt));
     sim_.run_all();
   }
 
@@ -240,7 +233,7 @@ class RoutingHarness {
     pkt.dst = to;
     pkt.dst_location = nodes_.at(to)->pos;
     pkt.ttl = ttl;
-    nodes_.at(from)->router->send(std::move(pkt));
+    nodes_.at(from)->router.send(std::move(pkt));
     sim_.run_all();
   }
 
@@ -253,15 +246,29 @@ class RoutingHarness {
     return delivered_.at(id).back().hops;
   }
 
-  [[nodiscard]] const std::vector<std::pair<Packet, DropReason>>& drops() const {
-    return drops_;
+  [[nodiscard]] const std::vector<Packet>& deliveries(NodeId id) const {
+    return delivered_.at(id);
+  }
+
+  /// Packets discarded by any node's router, in total or for one reason.
+  [[nodiscard]] std::uint64_t drops() const {
+    std::uint64_t n = 0;
+    for (const auto& [id, state] : nodes_) n += state->router.drops();
+    return n;
+  }
+  [[nodiscard]] std::uint64_t drops(DropReason reason) const {
+    std::uint64_t n = 0;
+    for (const auto& [id, state] : nodes_) n += state->router.drops(reason);
+    return n;
   }
 
  private:
   struct NodeState {
+    NodeState(NodeId id, Vec2 at, net::Medium& radio)
+        : pos(at), router(id, radio, table, pos) {}
     Vec2 pos;
     NeighborTable table;
-    std::unique_ptr<GeoRouter> router;
+    GeoRouter router;
   };
 
   sim::Simulator sim_;
@@ -269,7 +276,6 @@ class RoutingHarness {
   double range_;
   std::map<NodeId, std::unique_ptr<NodeState>> nodes_;
   std::map<NodeId, std::vector<Packet>> delivered_;
-  std::vector<std::pair<Packet, DropReason>> drops_;
 };
 
 TEST(GeoRouterTest, DirectNeighborDelivery) {
@@ -293,12 +299,35 @@ TEST(GeoRouterTest, GreedyChainAlongALine) {
   EXPECT_LE(h.last_hops(5), 5u);
 }
 
-TEST(GeoRouterTest, SendToSelfDeliversLocally) {
+TEST(GeoRouterTest, SendToSelfIsAPreconditionViolation) {
+  // Every originator in the simulation addresses another node; a packet to
+  // oneself is a caller bug, not a zero-hop delivery.
   RoutingHarness h;
   h.add_node(1, {0, 0});
   h.build_tables();
-  h.send(1, 1);
-  EXPECT_EQ(h.delivered_to(1), 1u);
+  EXPECT_THROW(h.send(1, 1), std::logic_error);
+  EXPECT_EQ(h.delivered_to(1), 0u);
+}
+
+TEST(GeoRouterTest, SuccessiveSendsCarrySourceAndIncreasingSeq) {
+  // The router is the one seq owner for what it originates: receivers
+  // deduplicate on (src, seq), so every send needs a fresh number.
+  RoutingHarness h;
+  h.add_node(1, {0, 0});
+  h.add_node(2, {10, 0});
+  h.add_node(3, {20, 0});
+  h.build_tables();
+  for (int i = 0; i < 3; ++i) h.send(1, 3);
+  h.send(1, 2);  // a different destination shares the same counter
+  h.send(1, 3);
+  const auto& got = h.deliveries(3);
+  ASSERT_EQ(got.size(), 4u);
+  ASSERT_EQ(h.delivered_to(2), 1u);
+  const auto to_two_seq = h.deliveries(2).front().seq;
+  for (const Packet& pkt : got) EXPECT_EQ(pkt.src, 1u);
+  for (std::size_t i = 1; i < got.size(); ++i) EXPECT_GT(got[i].seq, got[i - 1].seq);
+  EXPECT_GT(to_two_seq, got[2].seq);
+  EXPECT_LT(to_two_seq, got[3].seq);
 }
 
 TEST(GeoRouterTest, PerimeterRoutesAroundAVoid) {
@@ -318,7 +347,7 @@ TEST(GeoRouterTest, PerimeterRoutesAroundAVoid) {
   h.build_tables();
   h.send(0, 9);
   EXPECT_EQ(h.delivered_to(9), 1u);
-  EXPECT_TRUE(h.drops().empty());
+  EXPECT_EQ(h.drops(), 0u);
   EXPECT_GE(h.last_hops(9), 4u);  // the detour via 4 and 5
 }
 
@@ -331,7 +360,8 @@ TEST(GeoRouterTest, DisconnectedDestinationIsDroppedNotLooped) {
   h.build_tables();
   h.send(0, 99);
   EXPECT_EQ(h.delivered_to(99), 0u);
-  ASSERT_FALSE(h.drops().empty());
+  ASSERT_GT(h.drops(), 0u);
+  EXPECT_EQ(h.drops(DropReason::kFaceLoop), h.drops());
 }
 
 TEST(GeoRouterTest, IsolatedSenderDropsWithNoNeighbors) {
@@ -340,8 +370,8 @@ TEST(GeoRouterTest, IsolatedSenderDropsWithNoNeighbors) {
   h.add_node(9, {100, 0});
   h.build_tables();  // empty tables: out of range
   h.send(0, 9);
-  ASSERT_EQ(h.drops().size(), 1u);
-  EXPECT_EQ(h.drops()[0].second, DropReason::kNoNeighbors);
+  ASSERT_EQ(h.drops(), 1u);
+  EXPECT_EQ(h.drops(DropReason::kNoNeighbors), 1u);
 }
 
 TEST(GeoRouterTest, RandomDenseNetworkAlwaysDelivers) {
@@ -367,7 +397,7 @@ TEST(GeoRouterTest, RandomDenseNetworkAlwaysDelivers) {
   std::size_t got = 0;
   for (NodeId to = 3; to < 60; to += 11) got += h.delivered_to(to);
   EXPECT_EQ(got, static_cast<std::size_t>(sent));
-  EXPECT_TRUE(h.drops().empty());
+  EXPECT_EQ(h.drops(), 0u);
 }
 
 TEST(GeoRouterTest, GridWithVoidRoutesAround) {
@@ -387,7 +417,7 @@ TEST(GeoRouterTest, GridWithVoidRoutesAround) {
   // West edge center to east edge center: the direct line crosses the void.
   h.send(at[{0, 3}], at[{6, 3}]);
   EXPECT_EQ(h.delivered_to(at[{6, 3}]), 1u);
-  EXPECT_TRUE(h.drops().empty());
+  EXPECT_EQ(h.drops(), 0u);
   // Minimum detour is longer than the 6-hop straight line would have been.
   EXPECT_GE(h.last_hops(at[{6, 3}]), 7u);
 }
@@ -413,8 +443,8 @@ TEST(GeoRouterTest, TtlBoundsForwarding) {
   h.build_tables();
   h.send_with_ttl(0, 9, 3);  // 90 m needs >= 5 hops; 3 is not enough
   EXPECT_EQ(h.delivered_to(9), 0u);
-  ASSERT_FALSE(h.drops().empty());
-  EXPECT_EQ(h.drops().back().second, DropReason::kTtlExpired);
+  ASSERT_GT(h.drops(), 0u);
+  EXPECT_EQ(h.drops(DropReason::kTtlExpired), h.drops());
 }
 
 TEST(GeoRouterTest, StaleDestinationLocationStillDeliversViaTableShortcut) {

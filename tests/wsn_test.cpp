@@ -557,6 +557,49 @@ TEST_F(FieldFixture, WatchModeReportsEachFailureOncePerWatcher) {
   EXPECT_LE(reports, 8u);
 }
 
+TEST_F(FieldFixture, ReportSeqKeepsIncreasingAcrossTheReportersReplacement) {
+  // Receivers deduplicate failure reports on (src, seq). The slot's router
+  // stamps the seq and outlives the unit, so the replacement unit continues
+  // its predecessor's sequence instead of reusing its numbers.
+  FieldConfig cfg;
+  cfg.neighborhood_watch = true;  // every watcher reports, not only the guardian
+  build(cfg);
+  sim_.run_until(1.0);
+  const NodeId reporter = field_->node(4).guardian();
+  ASSERT_NE(reporter, net::kNoNode);
+  const auto seqs_from_reporter = [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint32_t> seqs;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Packet& pkt = manager_rx_[i];
+      if (pkt.type == net::PacketType::kFailureReport && pkt.src == reporter) {
+        seqs.push_back(pkt.seq);
+      }
+    }
+    return seqs;
+  };
+
+  field_->fail_slot(4);
+  sim_.run_until(sim_.now() + 60.0);
+  field_->replace_slot(4, 500);
+  sim_.run_until(sim_.now() + 20.0);
+  field_->fail_slot(reporter);
+  sim_.run_until(sim_.now() + 60.0);
+  field_->replace_slot(reporter, 500);
+  ASSERT_EQ(field_->node(reporter).incarnation(), 1u);
+  const std::size_t replaced_at = manager_rx_.size();
+  sim_.run_until(sim_.now() + 20.0);
+  field_->fail_slot(4);
+  sim_.run_until(sim_.now() + 60.0);
+
+  const auto before = seqs_from_reporter(0, replaced_at);
+  const auto after = seqs_from_reporter(replaced_at, manager_rx_.size());
+  ASSERT_FALSE(before.empty());
+  ASSERT_FALSE(after.empty());
+  std::vector<std::uint32_t> all = before;
+  all.insert(all.end(), after.begin(), after.end());
+  for (std::size_t i = 1; i < all.size(); ++i) EXPECT_GT(all[i], all[i - 1]);
+}
+
 
 class ReliableReportFixture : public FieldFixture {
  protected:
