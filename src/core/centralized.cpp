@@ -526,6 +526,10 @@ void CentralizedAlgorithm::perform_failover() {
 void CentralizedAlgorithm::on_robot_presumed_dead(std::size_t index) {
   // Re-dispatch every task that was in flight at the dead robot. Tasks whose
   // slot has since been repaired (duplicate dispatch) are simply closed.
+  // The re-dispatches go out in in_flight_'s iteration order, and each one
+  // draws from the medium's RNG (manager_->router().send -> Medium::unicast
+  // -> frame_delay), so results depend on libstdc++'s hash-table layout. Do
+  // not change this order: the service_soak expected results pin it.
   std::vector<std::pair<std::uint64_t, InFlight>> orphaned;
   for (const auto& [fid, entry] : in_flight_) {
     if (entry.robot == index) orphaned.emplace_back(fid, entry);

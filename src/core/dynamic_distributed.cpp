@@ -61,7 +61,6 @@ void DynamicDistributedAlgorithm::on_location_update(wsn::SensorNode& sensor,
   if (const auto closest = sensor.closest_known_robot()) sensor.set_myrobot(*closest);
 
   if (!fresh) return;
-  if (sensor.already_relayed(body.robot, body.update_seq)) return;
 
   // Relay scope (paper §3.3): the robot's previous cell (so members can
   // switch away), plus everyone within `fringe` of preferring the robot's
@@ -77,10 +76,7 @@ void DynamicDistributedAlgorithm::on_location_update(wsn::SensorNode& sensor,
   if (relay && config().efficient_broadcast && !relay_adds_coverage(sensor, from)) {
     relay = false;
   }
-  if (relay) {
-    sensor.mark_relayed(body.robot, body.update_seq);
-    sensor.relay(pkt);
-  }
+  if (relay) sensor.relay_once(pkt, body.robot, body.update_seq);
 }
 
 void DynamicDistributedAlgorithm::on_robot_location_update(robot::RobotNode& robot) {

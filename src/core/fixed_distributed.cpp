@@ -69,10 +69,8 @@ void FixedDistributedAlgorithm::on_location_update(wsn::SensorNode& sensor,
   // relay each update exactly once, remembered by sequence number. (With
   // identity ownership this is exactly the paper's "robot's own subarea".)
   if (!fresh || !owns) return;
-  if (sensor.already_relayed(body.robot, body.update_seq)) return;
   if (config().efficient_broadcast && !relay_adds_coverage(sensor, from)) return;
-  sensor.mark_relayed(body.robot, body.update_seq);
-  sensor.relay(pkt);
+  sensor.relay_once(pkt, body.robot, body.update_seq);
 }
 
 void FixedDistributedAlgorithm::on_robot_location_update(robot::RobotNode& robot) {

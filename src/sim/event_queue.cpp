@@ -12,7 +12,9 @@ namespace {
 /// perfbench, --seconds 20, 3 rotated runs per build, EXPERIMENTS.md E24):
 /// with two lines, the distances 4/2, 8/4, 16/8 and 32/16 gave medians of
 /// 143-151 sim_s/s, within the runs' spread; one line gave 129, no prefetch
-/// 96. A beacon tick reads the first 112 bytes of its node, hence two lines.
+/// 96. A beacon tick reads the first 48 bytes of its node (SensorNode keeps
+/// those members first), which straddle two lines at some 16-byte
+/// alignments, hence two lines.
 constexpr std::size_t kSlotLookahead = 16;
 constexpr std::size_t kTargetLookahead = 8;
 constexpr std::size_t kTargetLines = 2;

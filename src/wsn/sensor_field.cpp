@@ -73,8 +73,8 @@ void SensorField::initialize() {
   for (const auto& s : slots_) {
     for (const NodeId m : static_neighbors(s->id())) {
       s->table().upsert(m, slots_[m]->position());
-      // Honest-beacon mode: the init broadcast is what primes heard_.
-      if (config_.materialize_beacons) s->heard_[m] = sim_->now();
+      // Honest-beacon mode: the init broadcast is what primes `heard`.
+      if (config_.materialize_beacons) s->mode_state().heard[m] = sim_->now();
     }
   }
   // Step 2: guardian selection + confirmation (real counted unicasts).
@@ -152,7 +152,7 @@ void SensorField::fail_slot(NodeId slot) {
   // Neighbor-table staleness: every neighbor stops considering this node a
   // forwarding candidate exactly one staleness window after its last beacon
   // (equivalent to per-beacon refresh; DESIGN.md substitution 3). In honest-
-  // beacon mode each node evicts locally from its own heard_ timestamps.
+  // beacon mode each node evicts locally from the beacons it heard.
   if (config_.materialize_beacons) return;
   const std::uint32_t inc = n.incarnation();
   sim_->in(staleness_window() + 1e-6, [this, slot, inc] {

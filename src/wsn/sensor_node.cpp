@@ -16,7 +16,7 @@ using net::Packet;
 using net::PacketType;
 
 SensorNode::SensorNode(NodeId id, Vec2 pos, SensorField& field)
-    : id_(id), pos_(pos), field_(&field), router_(id, field.medium(), table_, pos_) {}
+    : id_(id), field_(&field), pos_(pos), router_(id, field.medium(), table_, pos_) {}
 
 void SensorNode::add_guardee(NodeId id) {
   if (std::find(guardees_.begin(), guardees_.end(), id) == guardees_.end()) {
@@ -30,11 +30,11 @@ void SensorNode::remove_guardee(NodeId id) {
 
 namespace {
 
-/// First entry with id >= robot (the table is sorted by id).
+/// First entry with id >= robot (the robot tables are sorted by id).
 template <typename Vec>
 auto robot_lower_bound(Vec& v, NodeId robot) {
   return std::lower_bound(v.begin(), v.end(), robot,
-                          [](const KnownRobot& e, NodeId id) { return e.id < id; });
+                          [](const auto& e, NodeId id) { return e.id < id; });
 }
 
 }  // namespace
@@ -82,17 +82,21 @@ std::optional<NodeId> SensorNode::closest_known_robot() const {
   return best;
 }
 
-bool SensorNode::already_relayed(NodeId robot, std::uint32_t seq) const {
-  auto it = relayed_seq_.find(robot);
-  return it != relayed_seq_.end() && it->second >= seq;
+void SensorNode::relay_once(const Packet& pkt, NodeId robot, std::uint32_t seq) {
+  auto it = robot_lower_bound(relayed_, robot);
+  if (it != relayed_.end() && it->id == robot) {
+    if (it->seq >= seq) return;
+    it->seq = seq;
+  } else {
+    relayed_.insert(it, RelayStamp{robot, seq});
+  }
+  field_->medium().broadcast(id_, pkt);
 }
 
-void SensorNode::mark_relayed(NodeId robot, std::uint32_t seq) {
-  auto& slot = relayed_seq_[robot];
-  slot = std::max(slot, seq);
+SensorNode::ModeState& SensorNode::mode_state() {
+  if (!mode_state_) mode_state_ = std::make_unique<ModeState>();
+  return *mode_state_;
 }
-
-void SensorNode::relay(const Packet& pkt) { field_->medium().broadcast(id_, pkt); }
 
 void SensorNode::fail() {
   if (!alive_) return;
@@ -107,14 +111,18 @@ void SensorNode::fail() {
   myrobot_ = kNoNode;
   known_robots_.clear();
   robots_heard_floor_ = sim::kNever;
-  relayed_seq_.clear();
-  watch_reported_.clear();
-  heard_.clear();
-  for (auto& [failed, pending] : pending_reports_) {
-    field_->simulator().cancel(pending.retry_timer);
+  relayed_.clear();
+  if (mode_state_) {
+    // Cleared, never freed: clear() keeps each map's bucket count, which
+    // sets the re-report order (rereport_stale_failures) of the next unit.
+    mode_state_->watch_reported.clear();
+    mode_state_->heard.clear();
+    for (auto& [failed, pending] : mode_state_->pending_reports) {
+      field_->simulator().cancel(pending.retry_timer);
+    }
+    mode_state_->pending_reports.clear();
+    mode_state_->reported_pending.clear();
   }
-  pending_reports_.clear();
-  reported_pending_.clear();
   table_.clear();
 }
 
@@ -125,11 +133,13 @@ void SensorNode::revive() {
 }
 
 bool SensorNode::neighbor_is_stale(NodeId id) const {
-  sim::SimTime last;
+  sim::SimTime last = -sim::kNever;
   if (field_->config().materialize_beacons) {
     // Honest mode: judged from the beacons this node actually received.
-    const auto it = heard_.find(id);
-    last = it == heard_.end() ? -sim::kNever : it->second;
+    if (mode_state_) {
+      const auto it = mode_state_->heard.find(id);
+      if (it != mode_state_->heard.end()) last = it->second;
+    }
   } else {
     // Analytic mode (DESIGN.md substitution 3): a neighbor's own beacon
     // timestamp is what a receiver in range would have heard.
@@ -229,9 +239,10 @@ void SensorNode::tick() {
     for (const NodeId m : field_->static_neighbors(id_)) {
       if (!neighbor_is_stale(m)) continue;
       const sim::SimTime silent_since = field_->last_beacon(m);
-      auto it = watch_reported_.find(m);
-      if (it != watch_reported_.end() && it->second == silent_since) continue;
-      watch_reported_[m] = silent_since;
+      auto& watch_reported = mode_state().watch_reported;
+      auto it = watch_reported.find(m);
+      if (it != watch_reported.end() && it->second == silent_since) continue;
+      watch_reported[m] = silent_since;
       // Avoid double-reporting a neighbor the guardee path just handled.
       if (std::find(failed.begin(), failed.end(), m) != failed.end()) continue;
       report_guardee_failure(m);
@@ -274,11 +285,18 @@ void SensorNode::age_robot_knowledge(sim::SimTime now) {
 }
 
 void SensorNode::rereport_stale_failures(sim::SimTime now) {
+  if (!mode_state_) return;  // nothing reported yet
   const double period = field_->robot_lease_window();
+  // The re-reports go out in the map's iteration order, and each one draws
+  // from the medium's RNG (router_.send -> Medium::unicast -> frame_delay),
+  // so results depend on libstdc++'s hash-table layout, including the bucket
+  // count that fail()'s clear() keeps. Do not change this order: the
+  // service_soak expected results pin it.
+  auto& reported_pending = mode_state_->reported_pending;
   std::vector<NodeId> due;
-  for (auto it = reported_pending_.begin(); it != reported_pending_.end();) {
+  for (auto it = reported_pending.begin(); it != reported_pending.end();) {
     if (!field_->open_failure(it->first)) {
-      it = reported_pending_.erase(it);  // repaired; done nagging
+      it = reported_pending.erase(it);  // repaired; done nagging
     } else {
       if (it->second + period <= now) due.push_back(it->first);
       ++it;
@@ -292,7 +310,7 @@ void SensorNode::rereport_stale_failures(sim::SimTime now) {
 void SensorNode::report_guardee_failure(NodeId failed) {
   field_->record_detection(failed);
   if (field_->robot_lease_window() > 0.0) {
-    reported_pending_[failed] = field_->simulator().now();
+    mode_state().reported_pending[failed] = field_->simulator().now();
   }
   const auto target = field_->policy().report_target(*this);
   if (!target || target->manager == kNoNode) {
@@ -320,7 +338,7 @@ void SensorNode::report_guardee_failure(NodeId failed) {
 }
 
 void SensorNode::arm_report_retry(NodeId failed) {
-  auto& pending = pending_reports_[failed];
+  auto& pending = mode_state().pending_reports[failed];
   // A periodic re-report may race an armed retry for the same slot; disarm
   // the stale timer so the two paths never double-fire.
   if (pending.retry_timer.valid()) field_->simulator().cancel(pending.retry_timer);
@@ -331,26 +349,30 @@ void SensorNode::arm_report_retry(NodeId failed) {
   const double delay = field_->config().report_retry_timeout *
                        static_cast<double>(1u << backoff_exp);
   pending.retry_timer = field_->simulator().in(delay, [this, failed] {
-    auto it = pending_reports_.find(failed);
-    if (it == pending_reports_.end() || !alive_) return;
+    // The mode block is never freed before the node, so it is still here.
+    auto& pending_reports = mode_state_->pending_reports;
+    auto it = pending_reports.find(failed);
+    if (it == pending_reports.end() || !alive_) return;
     if (it->second.attempts > field_->config().report_retries) {
-      pending_reports_.erase(it);  // give up; tracked by delivery ratio
+      pending_reports.erase(it);  // give up; tracked by delivery ratio
       return;
     }
     const int attempts = it->second.attempts + 1;
-    pending_reports_.erase(it);
+    pending_reports.erase(it);
     // Pre-seed the attempt count so the re-arm inside report_guardee_failure
     // sees it and scales the next backoff window.
-    pending_reports_[failed].attempts = attempts;
+    pending_reports[failed].attempts = attempts;
     report_guardee_failure(failed);  // re-resolves the manager too
   });
 }
 
 void SensorNode::on_report_ack(NodeId failed) {
-  auto it = pending_reports_.find(failed);
-  if (it == pending_reports_.end()) return;
+  if (!mode_state_) return;
+  auto& pending_reports = mode_state_->pending_reports;
+  auto it = pending_reports.find(failed);
+  if (it == pending_reports.end()) return;
   field_->simulator().cancel(it->second.retry_timer);
-  pending_reports_.erase(it);
+  pending_reports.erase(it);
 }
 
 void SensorNode::rebuild_neighbor_table() {
@@ -364,7 +386,7 @@ void SensorNode::rebuild_neighbor_table() {
       // Honest mode: a full beacon period has elapsed, so every alive
       // neighbor has been heard once by now.
       if (field_->config().materialize_beacons) {
-        heard_[m] = field_->simulator().now();
+        mode_state().heard[m] = field_->simulator().now();
       }
     }
   }
@@ -389,7 +411,7 @@ void SensorNode::on_packet(const Packet& pkt, NodeId from) {
   switch (pkt.type) {
     case PacketType::kBeacon:
       // Only materialize_beacons mode delivers these frames.
-      heard_[pkt.src] = field_->simulator().now();
+      mode_state().heard[pkt.src] = field_->simulator().now();
       table_.upsert(pkt.src, std::get<net::BeaconPayload>(pkt.payload).location);
       break;
     case PacketType::kLocationAnnounce:

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -74,7 +75,7 @@ class SensorNode {
 
   /// Records robot location knowledge if `seq` is fresh. Returns true when
   /// the knowledge was new (callers use this as the flood-dedup test for
-  /// adoption; relaying has its own mark, see mark_relayed()).
+  /// adoption; relaying has its own stamp, see relay_once()).
   bool learn_robot(net::NodeId robot, geometry::Vec2 loc, std::uint32_t seq);
 
   [[nodiscard]] const RobotKnowledge* find_robot(net::NodeId robot) const;
@@ -83,12 +84,12 @@ class SensorNode {
   /// choice); nullopt when no robot is known.
   [[nodiscard]] std::optional<net::NodeId> closest_known_robot() const;
 
-  [[nodiscard]] bool already_relayed(net::NodeId robot, std::uint32_t seq) const;
-  void mark_relayed(net::NodeId robot, std::uint32_t seq);
-
-  /// Re-broadcasts a flood packet unchanged (relay step of the distributed
-  /// location-update schemes).
-  void relay(const net::Packet& pkt);
+  /// Relay step of the distributed location-update schemes: re-broadcasts
+  /// `robot`'s flood packet `pkt` (update `seq`) unchanged, unless this unit
+  /// already relayed that seq or a newer one.
+  /// The stamp lives apart from the robot knowledge: aging and a replacement
+  /// unit's mentor copy rewrite that table, and neither may re-open a relay.
+  void relay_once(const net::Packet& pkt, net::NodeId robot, std::uint32_t seq);
 
   // --- lifecycle (driven by SensorField) --------------------------------
 
@@ -134,43 +135,62 @@ class SensorNode {
   void on_report_ack(net::NodeId failed);
   [[nodiscard]] bool neighbor_is_stale(net::NodeId id) const;
 
+  // The beacon tick reads id_, alive_, guardian_, field_ and guardees_ every
+  // period. They fill the first 48 bytes, so the two cache lines the event
+  // queue prefetches from the node's address hold them at any 16-byte
+  // alignment: moving guardian_ and guardees_ 64 bytes further cost ~8%
+  // field_100k sim_rate (EXPERIMENTS.md E26, E27).
   net::NodeId id_;
-  geometry::Vec2 pos_;
-  SensorField* field_;
-
   bool alive_ = true;
+  net::NodeId guardian_ = net::kNoNode;
+  SensorField* field_;
+  std::vector<net::NodeId> guardees_;
+
+  geometry::Vec2 pos_;
   std::uint32_t incarnation_ = 0;
+  net::NodeId myrobot_ = net::kNoNode;
 
   routing::NeighborTable table_;
 
-  net::NodeId guardian_ = net::kNoNode;
-  std::vector<net::NodeId> guardees_;
-
-  net::NodeId myrobot_ = net::kNoNode;
   std::vector<KnownRobot> known_robots_;  // sorted by robot id
   // Lower bound on min(heard_at) over known_robots_ (+inf when empty).
   // Entries only get fresher between scans, so while floor + window >= now
   // nothing can have expired and age_robot_knowledge() may skip its scan
   // entirely (batched aging).
   sim::SimTime robots_heard_floor_ = sim::kNever;
-  std::unordered_map<net::NodeId, std::uint32_t> relayed_seq_;
-  // Neighborhood-watch dedup: the neighbor's last-beacon timestamp at the
-  // time this node reported it. A changed timestamp means the neighbor came
-  // back (was replaced) and its next silence is a new failure.
-  std::unordered_map<net::NodeId, sim::SimTime> watch_reported_;
-  // materialize_beacons mode only: when this node last *heard* each
-  // neighbor's beacon (the honest per-receiver freshness state).
-  std::unordered_map<net::NodeId, sim::SimTime> heard_;
-  // reliable_reports mode: unacknowledged reports awaiting retransmission,
-  // keyed by the failed node.
+
+  // Flood dedup: the newest update seq this unit relayed, per robot.
+  struct RelayStamp {
+    net::NodeId id = net::kNoNode;  // robot
+    std::uint32_t seq = 0;
+  };
+  std::vector<RelayStamp> relayed_;  // sorted by robot id
+
+  // State that only an optional mode writes. Most sensors in most runs never
+  // write any of it, so it lives behind one pointer, allocated on the first
+  // write (mode_state()) and kept until the node is destroyed; fail() clears
+  // the maps but keeps the block. A null block reads as four empty maps.
   struct PendingReport {
     sim::EventId retry_timer;
     int attempts = 1;
   };
-  std::unordered_map<net::NodeId, PendingReport> pending_reports_;
-  // Robot fault tolerance: failures this node reported that are not
-  // yet repaired, keyed by slot -> time of the last report sent.
-  std::unordered_map<net::NodeId, sim::SimTime> reported_pending_;
+  struct ModeState {
+    // materialize_beacons: when this node last *heard* each neighbor's
+    // beacon (the honest per-receiver freshness state).
+    std::unordered_map<net::NodeId, sim::SimTime> heard;
+    // neighborhood_watch dedup: the neighbor's last-beacon timestamp at the
+    // time this node reported it. A changed timestamp means the neighbor
+    // came back (was replaced) and its next silence is a new failure.
+    std::unordered_map<net::NodeId, sim::SimTime> watch_reported;
+    // reliable_reports: unacknowledged reports awaiting retransmission,
+    // keyed by the failed node.
+    std::unordered_map<net::NodeId, PendingReport> pending_reports;
+    // Robot fault tolerance (a lease window): failures this node reported
+    // that are not yet repaired, keyed by slot -> time of the last report.
+    std::unordered_map<net::NodeId, sim::SimTime> reported_pending;
+  };
+  std::unique_ptr<ModeState> mode_state_;
+  ModeState& mode_state();
 
   sim::EventId tick_timer_{};
 
@@ -178,5 +198,9 @@ class SensorNode {
   // above and should find them in as few cache lines as possible.
   routing::GeoRouter router_;
 };
+
+// Every sensor of a field pays for each byte here: state that only an
+// optional mode writes belongs in ModeState.
+static_assert(sizeof(SensorNode) <= 232, "SensorNode grew; see the member comments");
 
 }  // namespace sensrep::wsn

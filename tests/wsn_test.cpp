@@ -165,10 +165,10 @@ class FieldFixture : public ::testing::Test {
 
   /// Builds a 3x3 grid field with 40 m spacing (everyone has 2-4 neighbors
   /// at 63 m range) plus a manager node in the middle.
-  void build(FieldConfig cfg = {}, double spacing = 40.0) {
+  void build(FieldConfig cfg = {}, double spacing = 40.0, double robot_lease_window = 0.0) {
     cfg.spontaneous_failures = false;  // tests inject failures explicitly
     field_ = std::make_unique<SensorField>(sim_, medium_, policy_, log_, cfg,
-                                           sim::Rng(21));
+                                           sim::Rng(21), robot_lease_window);
     std::vector<Vec2> pts;
     for (int r = 0; r < 3; ++r) {
       for (int c = 0; c < 3; ++c) {
@@ -190,6 +190,19 @@ class FieldFixture : public ::testing::Test {
     }
     field_->start();
     sim_.run_until(0.1);  // drain guardian confirmations
+  }
+
+  /// Offers robot `robot`'s flood update `seq` to node `n`'s relay step and
+  /// returns how many location-update frames went on the air (0 or 1).
+  std::uint64_t relays(SensorNode& n, NodeId robot, std::uint32_t seq) {
+    Packet pkt;
+    pkt.type = net::PacketType::kLocationUpdate;
+    pkt.src = n.id();
+    pkt.dst = net::kBroadcastId;
+    pkt.payload = net::LocationUpdatePayload{robot, {30, 0}, seq};
+    const auto before = sim_.counters().get(metrics::MessageCategory::kLocationUpdate);
+    n.relay_once(pkt, robot, seq);
+    return sim_.counters().get(metrics::MessageCategory::kLocationUpdate) - before;
   }
 
   sim::Simulator sim_;
@@ -484,12 +497,12 @@ TEST_F(FieldFixture, ClosestKnownRobotPicksMinimum) {
 TEST_F(FieldFixture, RelayDedupBySequence) {
   build();
   auto& n = field_->node(0);
-  EXPECT_FALSE(n.already_relayed(500, 1));
-  n.mark_relayed(500, 3);
-  EXPECT_TRUE(n.already_relayed(500, 3));
-  EXPECT_TRUE(n.already_relayed(500, 2));   // older than relayed
-  EXPECT_FALSE(n.already_relayed(500, 4));  // newer
-  EXPECT_FALSE(n.already_relayed(501, 1));  // other robot
+  EXPECT_EQ(relays(n, 500, 1), 1u);
+  EXPECT_EQ(relays(n, 500, 3), 1u);
+  EXPECT_EQ(relays(n, 500, 3), 0u);  // already relayed
+  EXPECT_EQ(relays(n, 500, 2), 0u);  // older than relayed
+  EXPECT_EQ(relays(n, 500, 4), 1u);  // newer
+  EXPECT_EQ(relays(n, 501, 1), 1u);  // other robot
 }
 
 TEST_F(FieldFixture, FailureClearsProtocolState) {
@@ -497,12 +510,45 @@ TEST_F(FieldFixture, FailureClearsProtocolState) {
   auto& n = field_->node(0);
   n.learn_robot(500, {30, 0}, 5);
   n.set_myrobot(500);
-  n.mark_relayed(500, 5);
+  EXPECT_EQ(relays(n, 500, 5), 1u);
   field_->fail_slot(0);
   EXPECT_EQ(n.myrobot(), net::kNoNode);
   EXPECT_EQ(n.find_robot(500), nullptr);
   EXPECT_TRUE(n.table().empty());
-  EXPECT_FALSE(n.already_relayed(500, 5));  // a fresh unit starts clean
+  field_->replace_slot(0, kManagerId);
+  EXPECT_EQ(relays(n, 500, 5), 1u);  // a fresh unit starts clean
+}
+
+// The relay stamp is not robot knowledge: aging a robot out of the table
+// must not let this unit relay the same flood update a second time.
+TEST_F(FieldFixture, RelayStampOutlivesRobotKnowledgeAging) {
+  const double lease = 25.0;
+  build({}, 40.0, lease);
+  auto& n = field_->node(0);
+  ASSERT_TRUE(n.learn_robot(500, {30, 0}, 5));
+  EXPECT_EQ(relays(n, 500, 5), 1u);
+  sim_.run_until(sim_.now() + lease + 3 * FieldConfig{}.beacon_period);
+  ASSERT_EQ(n.find_robot(500), nullptr);  // aged out by the beacon tick
+  EXPECT_EQ(relays(n, 500, 5), 0u);
+  EXPECT_EQ(relays(n, 500, 6), 1u);
+}
+
+// ... nor may a replacement unit's mentor copy, which overwrites the robot
+// table with an older sequence than the unit already relayed.
+TEST_F(FieldFixture, RelayStampOutlivesMentorCopy) {
+  build();
+  for (NodeId id = 0; id < field_->size(); ++id) field_->node(id).learn_robot(500, {30, 0}, 6);
+  field_->fail_slot(0);
+  field_->replace_slot(0, kManagerId);
+  auto& n = field_->node(0);
+  // First beacon period: the new unit hears update 7 and relays it.
+  ASSERT_TRUE(n.learn_robot(500, {30, 0}, 7));
+  EXPECT_EQ(relays(n, 500, 7), 1u);
+  // One period after power-on the unit copies its mentor's robot table.
+  sim_.run_until(sim_.now() + 1.5 * FieldConfig{}.beacon_period);
+  ASSERT_NE(n.find_robot(500), nullptr);
+  ASSERT_EQ(n.find_robot(500)->seq, 6u);  // the mentor's copy replaced 7
+  EXPECT_EQ(relays(n, 500, 7), 0u);
 }
 
 TEST_F(FieldFixture, PairDeathUndetectedWithoutWatch) {
